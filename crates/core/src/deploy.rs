@@ -457,16 +457,6 @@ impl StandardConfig {
         self.topology().logic_style()
     }
 
-    /// `true` when the servlet container runs on its own machine.
-    #[deprecated(
-        since = "0.10.0",
-        note = "inspect the topology instead: \
-                `config.topology().has_dedicated_container()`"
-    )]
-    pub fn servlet_dedicated(self) -> bool {
-        self.topology().has_dedicated_container()
-    }
-
     /// Number of server machines (excluding clients).
     pub fn server_machines(self) -> usize {
         self.topology().server_machines()
@@ -510,34 +500,6 @@ impl AdmissionControl {
     }
 }
 
-/// The machines of one installed deployment, as a flat record.
-///
-/// Kept only to serve the deprecated [`Deployment::machines`] accessor;
-/// multi-web deployments report their *first* web machine in `web`. New
-/// code should use the per-tier accessors on [`Deployment`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MachineSet {
-    /// The (aggregated) client farm.
-    pub client: MachineId,
-    /// The web-server machine (the first one in a web farm).
-    pub web: MachineId,
-    /// The servlet container's machine (equals `web` when co-located;
-    /// `None` for the PHP configuration).
-    pub servlet: Option<MachineId>,
-    /// The EJB server's machine (four-tier configuration only).
-    pub ejb: Option<MachineId>,
-    /// The database machine.
-    pub db: MachineId,
-}
-
-impl MachineSet {
-    /// The machine the dynamic-content generator runs on (the servlet
-    /// container's machine, or the web machine for PHP).
-    pub fn generator(&self) -> MachineId {
-        self.servlet.unwrap_or(self.web)
-    }
-}
-
 /// An installed deployment: machines plus the lock/semaphore identities the
 /// request context needs when compiling traces.
 #[derive(Debug)]
@@ -575,23 +537,6 @@ impl Deployment {
         web_processes: u32,
     ) -> Deployment {
         Self::install_impl(sim, config, db, app, web_processes, AdmissionControl::default())
-    }
-
-    /// Installs `config` into `sim` with explicit admission-control limits.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build the deployment through `Middleware::install_opts` (or \
-                `ExperimentSpec` in dynamid-workload) instead"
-    )]
-    pub fn install_with(
-        sim: &mut Simulation,
-        config: StandardConfig,
-        db: &Database,
-        app: &dyn Application,
-        web_processes: u32,
-        admission: AdmissionControl,
-    ) -> Deployment {
-        Self::install_impl(sim, config, db, app, web_processes, admission)
     }
 
     /// Installs `config` into `sim`: creates the machines, one lock per
@@ -712,23 +657,6 @@ impl Deployment {
     /// The declarative topology this deployment instantiates.
     pub fn topology(&self) -> &Topology {
         &self.topology
-    }
-
-    /// The machine set.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use the per-tier accessors (`client`, `web_machines`, \
-                `servlet_machine`, `ejb_machine`, `db_machine`, `generator`) \
-                instead; the flat set cannot represent a web farm"
-    )]
-    pub fn machines(&self) -> MachineSet {
-        MachineSet {
-            client: self.client,
-            web: self.webs[0],
-            servlet: self.servlet,
-            ejb: self.ejb,
-            db: self.db,
-        }
     }
 
     /// The client-farm machine.
@@ -1046,21 +974,6 @@ mod tests {
         assert_eq!(Some(d.generator(0)), d.servlet_machine());
     }
 
-    /// The deprecated flat accessor still reports the legacy view.
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_machine_set_matches_per_tier_accessors() {
-        let mut sim = Simulation::new(SimDuration::from_micros(100));
-        let db = small_db();
-        let d = Deployment::install(&mut sim, StandardConfig::ServletDedicated, &db, &NoApp, 512);
-        let m = d.machines();
-        assert_eq!(m.client, d.client());
-        assert_eq!(m.web, d.web_machines()[0]);
-        assert_eq!(m.servlet, d.servlet_machine());
-        assert_eq!(m.db, d.db_machine());
-        assert_eq!(m.generator(), d.generator(0));
-    }
-
     /// Preset-equivalence oracle: the topology-driven install must produce,
     /// for every pre-existing configuration, exactly the machine names (in
     /// id order), machine ids, lock registry size, and pool identities the
@@ -1088,7 +1001,7 @@ mod tests {
                 (0..sim.machine_count() as u32).map(|i| sim.machine_name(MachineId(i))).collect();
             assert_eq!(names, expect, "{config}");
 
-            // The deployment's ids point where the legacy MachineSet did.
+            // The deployment's ids point where the legacy match arms put them.
             assert_eq!(d.client(), MachineId(0), "{config}");
             assert_eq!(d.web_machines(), &[MachineId(1)], "{config}");
             let legacy_servlet = match config {

@@ -47,8 +47,8 @@ pub use cache::{CacheInvalidation, CachePolicy, CacheScope, MethodCacheConfig, M
 pub use cost::{CostModel, EjbCosts, FrontEndCosts, GeneratorCosts};
 pub use ctx::{RequestCtx, RequestStats};
 pub use deploy::{
-    AdmissionControl, Architecture, Deployment, FrontEnd, LogicPlacement, MachineSet,
-    RoutingPolicy, StandardConfig, Topology, TopologyBuilder,
+    AdmissionControl, Architecture, Deployment, FrontEnd, LogicPlacement, RoutingPolicy,
+    StandardConfig, Topology, TopologyBuilder,
 };
 pub use ejb::{BeanHandle, EntityManager};
 pub use middleware::{InstallOptions, Middleware, PreparedRequest};

@@ -15,15 +15,12 @@
 //! policy. Fault schedules compile deterministically from the sweep seed:
 //! the whole sweep is bit-reproducible.
 
-use crate::HarnessConfig;
+use crate::figures::sweep_workload;
+use crate::{Benchmark, HarnessConfig};
 use dynamid_bookstore::{Bookstore, BookstoreScale};
 use dynamid_core::{AdmissionControl, CostModel, StandardConfig};
 use dynamid_sim::SimDuration;
-use dynamid_workload::{
-    ArrivalProcess, ChaosOptions, ExperimentSpec, FaultSpec, ResilienceConfig, WorkloadConfig,
-};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use dynamid_workload::{ChaosOptions, ExperimentSpec, FaultSpec, ResilienceConfig, WorkloadConfig};
 
 /// The three architectures the sweep compares, one per paper family:
 /// C1 `WsPhp-DB` (2 machines), C4 `Ws-Servlet-DB` (3 machines), and
@@ -43,6 +40,13 @@ pub fn sweep_resilience() -> ResilienceConfig {
         backoff_cap: SimDuration::from_secs(2),
         retry_budget: None,
     }
+}
+
+/// The seed of the fault storm at `intensity`. It folds in the intensity
+/// rank so ladder points draw independent schedules, but nothing about the
+/// configuration: the same storm hits every architecture.
+pub(crate) fn fault_seed(cfg: &HarnessConfig, intensity: f64) -> u64 {
+    cfg.seed ^ ((intensity * 1_000.0).round() as u64).wrapping_mul(0x9E37)
 }
 
 /// The server-side admission limits every sweep point runs under.
@@ -121,24 +125,10 @@ fn run_avail_point(
     let app = Bookstore::new(BookstoreScale::scaled(cfg.scale));
     let mix = dynamid_bookstore::mixes::shopping();
     let clients = cfg.clients.first().copied().unwrap_or(100);
-    let workload = WorkloadConfig {
-        clients,
-        think_time: cfg.think_time,
-        session_time: cfg.session_time,
-        ramp_up: cfg.ramp_up,
-        measure: cfg.measure,
-        ramp_down: cfg.ramp_down,
-        seed: cfg.seed ^ clients as u64,
-        resilience: sweep_resilience(),
-        arrivals: ArrivalProcess::Closed,
-        timeline_bucket: None,
-    };
-    // The fault seed folds in the intensity rank so ladder points draw
-    // independent schedules, but nothing about the configuration: the same
-    // storm hits every architecture.
-    let fault_seed = cfg.seed ^ ((intensity * 1_000.0).round() as u64).wrapping_mul(0x9E37);
+    let workload =
+        WorkloadConfig { resilience: sweep_resilience(), ..sweep_workload(cfg, clients) };
     let chaos = ChaosOptions {
-        faults: Some(FaultSpec::at_intensity(fault_seed, intensity)),
+        faults: Some(FaultSpec::at_intensity(fault_seed(cfg, intensity), intensity)),
         admission: sweep_admission(),
     };
     let r = ExperimentSpec::for_config(config)
@@ -185,44 +175,20 @@ fn run_avail_point(
 }
 
 /// Runs the full availability sweep over [`AVAILABILITY_CONFIGS`] ×
-/// `intensities`, using the same worker-pool pattern as the figure sweeps
-/// (results are bit-identical for any `--jobs` value).
+/// `intensities` on [`par_grid`](crate::par_grid), one fresh database fork
+/// per point (results are bit-identical for any `--jobs` value).
 pub fn run_availability(cfg: &HarnessConfig, intensities: &[f64]) -> AvailabilityData {
-    let base_db = dynamid_bookstore::build_db(&BookstoreScale::scaled(cfg.scale), cfg.seed)
-        .expect("population");
-    let grid: Vec<(usize, usize)> = (0..AVAILABILITY_CONFIGS.len())
-        .flat_map(|ci| (0..intensities.len()).map(move |ii| (ci, ii)))
+    let base_db = Benchmark::Bookstore.build_db(cfg.scale, cfg.seed);
+    let grid: Vec<(StandardConfig, f64)> = AVAILABILITY_CONFIGS
+        .iter()
+        .flat_map(|&c| intensities.iter().map(move |&i| (c, i)))
         .collect();
-    let workers = cfg.effective_jobs().min(grid.len()).max(1);
-
-    let points: Vec<AvailabilityPoint> = if workers == 1 {
-        grid.iter()
-            .map(|&(ci, ii)| {
-                run_avail_point(cfg, &base_db, AVAILABILITY_CONFIGS[ci], intensities[ii])
-            })
-            .collect()
-    } else {
-        let slots: Mutex<Vec<Option<AvailabilityPoint>>> = Mutex::new(vec![None; grid.len()]);
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(ci, ii)) = grid.get(i) else { break };
-                    let point =
-                        run_avail_point(cfg, &base_db, AVAILABILITY_CONFIGS[ci], intensities[ii]);
-                    slots.lock().expect("no panics hold the lock")[i] = Some(point);
-                });
-            }
-        });
-        slots
-            .into_inner()
-            .expect("workers joined")
-            .into_iter()
-            .map(|p| p.expect("every grid slot filled"))
-            .collect()
-    };
-
+    let points = crate::par_grid(
+        cfg.effective_jobs(),
+        &grid,
+        || (),
+        |(), &(config, intensity)| run_avail_point(cfg, &base_db, config, intensity),
+    );
     AvailabilityData { intensities: intensities.to_vec(), points }
 }
 

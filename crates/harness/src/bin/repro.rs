@@ -36,12 +36,15 @@
 
 use dynamid_core::StandardConfig;
 use dynamid_harness::report::{cpu_markdown, peak_summary_line, sweep_csv, throughput_markdown};
-use dynamid_harness::{find_figure, run_figure, run_traced, FigureData, HarnessConfig, FIGURES};
+use dynamid_harness::{
+    find_figure, run_figure, run_traced, Benchmark, FigurePair, HarnessConfig, FIGURES,
+};
 use dynamid_sim::SimDuration;
 use dynamid_sqldb::Database;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::time::Instant;
 
 /// One command-line flag: name, value placeholder (`None` for boolean
 /// switches), and help text. The parser and the usage message are both
@@ -239,24 +242,15 @@ fn main() -> ExitCode {
         Err(e) => return usage(&e),
     };
     if smoke {
-        // `repro cache --smoke` and `repro failover --smoke` are their own
-        // pinned grids (check.sh's golden gates); every other target
-        // combination defers to the perf smoke.
-        if targets.iter().any(|t| t == "failover") {
-            return run_failover_smoke(cfg.jobs, &out_dir, cfg.verbose);
-        }
-        if targets.iter().any(|t| t == "cache") {
-            return run_cache_smoke(cfg.jobs, &out_dir, cfg.verbose);
-        }
-        if targets.iter().any(|t| t == "overload") {
-            return run_overload_smoke(cfg.jobs, &out_dir, cfg.verbose);
-        }
-        return run_smoke(cfg.verbose, chaos);
-    }
-
-    if let Err(e) = fs::create_dir_all(&out_dir) {
-        eprintln!("cannot create {}: {e}", out_dir.display());
-        return ExitCode::FAILURE;
+        // `repro cache --smoke`, `repro failover --smoke` and `repro
+        // overload --smoke` are their own pinned grids (check.sh's golden
+        // gates); every other target combination defers to the perf smoke.
+        let pinned =
+            ["failover", "cache", "overload"].into_iter().find(|s| targets.iter().any(|t| t == s));
+        return match pinned {
+            Some(sweep) => exit_status(run_target(sweep, &cfg, &out_dir, true)),
+            None => run_smoke(cfg.verbose, chaos),
+        };
     }
 
     if targets[0] == "trace" {
@@ -266,139 +260,98 @@ fn main() -> ExitCode {
         if find_figure(figure).is_none() {
             return usage(&format!("unknown figure '{figure}'"));
         }
-        return run_trace(figure, &cfg, &out_dir);
+        return exit_status(run_trace(figure, &cfg, &out_dir));
     }
 
-    for target in &targets {
-        match target.as_str() {
-            "all" => {
-                for pair in FIGURES {
-                    run_and_emit(pair.throughput_id, &cfg, &out_dir);
-                }
-            }
-            "avail" => {
-                use dynamid_harness::{
-                    availability_csv, availability_markdown, run_availability, DEFAULT_INTENSITIES,
-                };
-                eprintln!("== Availability sweep (goodput vs fault intensity)");
-                let data = run_availability(&cfg, &DEFAULT_INTENSITIES);
-                println!("{}", availability_markdown(&data));
-                let csv_path = out_dir.join("avail.csv");
-                if let Err(e) = fs::write(&csv_path, availability_csv(&data)) {
-                    eprintln!("could not write {}: {e}", csv_path.display());
-                } else {
-                    eprintln!("wrote {}", csv_path.display());
-                }
-            }
-            "cache" => {
-                use dynamid_harness::{
-                    cache_csv, cache_markdown, run_cache_sweep, CACHE_WORKLOADS,
-                    DEFAULT_CACHE_CAPACITIES, DEFAULT_CACHE_TTLS,
-                };
-                eprintln!(
-                    "== Cache-ablation sweep (bookstore + auction mixes, off/TTL/transactional)"
-                );
-                let data = run_cache_sweep(
-                    &cfg,
-                    &CACHE_WORKLOADS,
-                    &DEFAULT_CACHE_CAPACITIES,
-                    &DEFAULT_CACHE_TTLS,
-                );
-                println!("{}", cache_markdown(&data));
-                let csv_path = out_dir.join("cache.csv");
-                if let Err(e) = fs::write(&csv_path, cache_csv(&data)) {
-                    eprintln!("could not write {}: {e}", csv_path.display());
-                } else {
-                    eprintln!("wrote {}", csv_path.display());
-                }
-            }
-            "failover" => {
-                use dynamid_harness::{
-                    failover_csv, failover_markdown, run_failover, DEFAULT_REPLICAS,
-                    DEFAULT_STORM_INTENSITIES,
-                };
-                eprintln!("== Failover sweep (goodput under a mid-measurement primary kill)");
-                let data = run_failover(&cfg, &DEFAULT_REPLICAS, &DEFAULT_STORM_INTENSITIES);
-                println!("{}", failover_markdown(&data));
-                let csv_path = out_dir.join("failover.csv");
-                if let Err(e) = fs::write(&csv_path, failover_csv(&data)) {
-                    eprintln!("could not write {}: {e}", csv_path.display());
-                } else {
-                    eprintln!("wrote {}", csv_path.display());
-                }
-                let violations = data.baseline_violations();
-                if !violations.is_empty() {
-                    eprintln!("failover sweep FAILED: replicated goodput lost to the baseline:");
-                    for v in &violations {
-                        eprintln!("  {v}");
-                    }
-                    return ExitCode::FAILURE;
-                }
-            }
-            "overload" => {
-                use dynamid_harness::{
-                    overload_csv, overload_markdown, run_overload_configs, DEFAULT_SPIKE_MULTS,
-                    FRONT_ENDED_OVERLOAD_CONFIGS, OVERLOAD_CONFIGS,
-                };
-                eprintln!("== Flash-crowd sweep (open-loop overload, naive vs controlled)");
-                let grids: [(&str, &[StandardConfig]); 2] = [
-                    ("overload.csv", &OVERLOAD_CONFIGS),
-                    ("overload_c789.csv", &FRONT_ENDED_OVERLOAD_CONFIGS),
-                ];
-                for (file, configs) in grids {
-                    let data = run_overload_configs(&cfg, configs, &DEFAULT_SPIKE_MULTS);
-                    println!("{}", overload_markdown(&data));
-                    let csv_path = out_dir.join(file);
-                    if let Err(e) = fs::write(&csv_path, overload_csv(&data)) {
-                        eprintln!("could not write {}: {e}", csv_path.display());
-                    } else {
-                        eprintln!("wrote {}", csv_path.display());
-                    }
-                    let violations = data.violations();
-                    if !violations.is_empty() {
-                        eprintln!("overload sweep FAILED: the flash-crowd claim does not hold:");
-                        for v in &violations {
-                            eprintln!("  {v}");
-                        }
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "summary" => {
-                println!("# Peak throughput summary (all figures)\n");
-                for pair in FIGURES {
-                    eprintln!("== {}", pair.title);
-                    let data = run_figure(pair, &cfg);
-                    println!("## {}", pair.title);
-                    for curve in &data.curves {
-                        println!("{}", peak_summary_line(curve));
-                    }
-                    println!();
-                }
-            }
-            key => {
-                if find_figure(key).is_none() {
-                    return usage(&format!("unknown figure '{key}'"));
-                }
-                run_and_emit(key, &cfg, &out_dir);
-            }
-        }
+    let known = |t: &str| {
+        matches!(t, "all" | "summary" | "avail" | "cache" | "failover" | "overload")
+            || find_figure(t).is_some()
+    };
+    if let Some(bad) = targets.iter().find(|t| !known(t)) {
+        return usage(&format!("unknown figure '{bad}'"));
     }
-    ExitCode::SUCCESS
+    exit_status(targets.iter().try_for_each(|t| run_target(t, &cfg, &out_dir, false)))
 }
 
-fn run_and_emit(key: &str, cfg: &HarnessConfig, out_dir: &std::path::Path) {
-    let pair = find_figure(key).expect("validated by caller");
-    eprintln!("== {} ({} / {})", pair.title, pair.throughput_id, pair.cpu_id);
-    let data: FigureData = run_figure(pair, cfg);
-    println!("{}", throughput_markdown(&data));
-    println!("{}", cpu_markdown(&data));
-    let csv_path = out_dir.join(format!("{}.csv", pair.throughput_id));
-    if let Err(e) = fs::write(&csv_path, sweep_csv(&data)) {
-        eprintln!("could not write {}: {e}", csv_path.display());
-    } else {
-        eprintln!("wrote {}", csv_path.display());
+/// Prints a failed run's error and maps the outcome to the exit status.
+fn exit_status(result: Result<(), String>) -> ExitCode {
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
     }
+}
+
+/// Runs one validated target. `smoke` selects the pinned golden grid of
+/// the cache, failover and overload sweeps.
+fn run_target(
+    target: &str,
+    cfg: &HarnessConfig,
+    out_dir: &Path,
+    smoke: bool,
+) -> Result<(), String> {
+    match target {
+        "all" => FIGURES.into_iter().try_for_each(|pair| run_and_emit(pair, cfg, out_dir)),
+        "avail" => {
+            use dynamid_harness::{
+                availability_csv, availability_markdown, run_availability, DEFAULT_INTENSITIES,
+            };
+            eprintln!("== Availability sweep (goodput vs fault intensity)");
+            let data = run_availability(cfg, &DEFAULT_INTENSITIES);
+            emit(&availability_markdown(&data), out_dir, &[("avail.csv", &availability_csv(&data))])
+        }
+        "cache" => cache_sweep(cfg, out_dir, smoke),
+        "failover" => failover_sweep(cfg, out_dir, smoke),
+        "overload" => overload_sweep(cfg, out_dir, smoke),
+        "summary" => {
+            println!("# Peak throughput summary (all figures)\n");
+            for pair in FIGURES {
+                eprintln!("== {}", pair.title);
+                let data = run_figure(pair, cfg);
+                println!("## {}", pair.title);
+                for curve in &data.curves {
+                    println!("{}", peak_summary_line(curve));
+                }
+                println!();
+            }
+            Ok(())
+        }
+        key => run_and_emit(find_figure(key).expect("validated by main"), cfg, out_dir),
+    }
+}
+
+/// The one output path of every target: prints `markdown` to stdout, then
+/// writes each `(file name, contents)` pair into `out_dir` (created when
+/// missing) and reports it on stderr. Any failure is returned, so the
+/// command exits nonzero.
+fn emit(markdown: &str, out_dir: &Path, files: &[(&str, &str)]) -> Result<(), String> {
+    println!("{markdown}");
+    fs::create_dir_all(out_dir).map_err(|e| format!("cannot create {}: {e}", out_dir.display()))?;
+    for (file, contents) in files {
+        let path = out_dir.join(file);
+        fs::write(&path, contents)
+            .map_err(|e| format!("could not write {}: {e}", path.display()))?;
+        eprintln!("wrote {}", path.display());
+    }
+    Ok(())
+}
+
+/// `Err` listing `violations` under `headline`, or `Ok` when there are none.
+fn claim(headline: &str, violations: &[String]) -> Result<(), String> {
+    if violations.is_empty() {
+        Ok(())
+    } else {
+        Err(format!("{headline}\n  {}", violations.join("\n  ")))
+    }
+}
+
+fn run_and_emit(pair: FigurePair, cfg: &HarnessConfig, out_dir: &Path) -> Result<(), String> {
+    eprintln!("== {} ({} / {})", pair.title, pair.throughput_id, pair.cpu_id);
+    let data = run_figure(pair, cfg);
+    let markdown = format!("{}\n{}", throughput_markdown(&data), cpu_markdown(&data));
+    emit(&markdown, out_dir, &[(&format!("{}.csv", pair.throughput_id), &sweep_csv(&data))])
 }
 
 /// `repro trace <figure>`: one traced point per selected configuration.
@@ -407,16 +360,15 @@ fn run_and_emit(key: &str, cfg: &HarnessConfig, out_dir: &std::path::Path) {
 /// summary, and fails if the span trees are malformed or the
 /// trace-derived CPU utilizations drift more than 1% from the PS
 /// counters.
-fn run_trace(figure: &str, cfg: &HarnessConfig, out_dir: &std::path::Path) -> ExitCode {
+fn run_trace(figure: &str, cfg: &HarnessConfig, out_dir: &Path) -> Result<(), String> {
     let pair = find_figure(figure).expect("validated by caller");
     for &config in &cfg.configs {
         eprintln!("== trace {} {} ({})", pair.throughput_id, config.code(), config.paper_name());
         let traced = run_traced(pair, config, cfg);
-        if let Err(e) = traced.cross_check() {
-            eprintln!("trace cross-check failed for {}: {e}", config.paper_name());
-            return ExitCode::FAILURE;
-        }
-        println!(
+        traced
+            .cross_check()
+            .map_err(|e| format!("trace cross-check failed for {}: {e}", config.paper_name()))?;
+        let markdown = format!(
             "## {} {} at {} clients\n\n{}",
             pair.throughput_id,
             config.code(),
@@ -424,19 +376,16 @@ fn run_trace(figure: &str, cfg: &HarnessConfig, out_dir: &std::path::Path) -> Ex
             traced.report.to_markdown()
         );
         let stem = format!("{}_{}", pair.throughput_id, config.code());
-        let json_path = out_dir.join(format!("trace_{stem}.json"));
-        let csv_path = out_dir.join(format!("bottleneck_{stem}.csv"));
-        for (path, contents) in
-            [(&json_path, traced.chrome_json()), (&csv_path, traced.bottleneck_csv())]
-        {
-            if let Err(e) = fs::write(path, contents) {
-                eprintln!("could not write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote {}", path.display());
-        }
+        emit(
+            &markdown,
+            out_dir,
+            &[
+                (&format!("trace_{stem}.json"), &traced.chrome_json()),
+                (&format!("bottleneck_{stem}.csv"), &traced.bottleneck_csv()),
+            ],
+        )?;
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// The pinned configuration every golden smoke grid and BENCH probe
@@ -464,49 +413,65 @@ fn pinned_smoke_cfg(
     cfg
 }
 
-/// The pinned deterministic cache-ablation grid behind `repro cache
-/// --smoke` — check.sh byte-compares its CSV against
-/// `results/golden/cache.csv`.
+/// `repro cache`: the cache-ablation sweep over every workload mix,
+/// capacity and TTL duration, written to `cache.csv`.
 ///
-/// Every knob except `--jobs` (which never changes results) and `--out`
-/// is pinned here rather than taken from the command line: the golden is
-/// only meaningful for one exact grid. The load is deliberately harsher
-/// than the figure smokes — 500 ms think time instead of 7 s — so the
-/// EJB four-tier configuration is actually saturated at the top client
-/// count and the sweep exercises the regime where caching moves
-/// throughput, not just latency. The grid covers all three workload mixes
-/// (bookstore browsing plus both auction mixes) and both default TTL
-/// durations, so the golden pins the TTL staleness curve the
-/// audit-violation column records. The run fails unless transactional
-/// caching lifts EJB bookstore-browsing throughput at the top client
-/// count by at least 30% — the headline this tier exists to demonstrate —
-/// so the check.sh gate certifies the result, not just byte stability.
-fn run_cache_smoke(jobs: usize, out_dir: &std::path::Path, verbose: bool) -> ExitCode {
+/// With `--smoke` it runs the pinned deterministic grid check.sh
+/// byte-compares against `results/golden/cache.csv`. Every knob except
+/// `--jobs` (which never changes results) and `--out` is pinned rather
+/// than taken from the command line: the golden is only meaningful for one
+/// exact grid. The load is deliberately harsher than the figure smokes —
+/// 500 ms think time instead of 7 s — so the EJB four-tier configuration
+/// is actually saturated at the top client count and the sweep exercises
+/// the regime where caching moves throughput, not just latency. The grid
+/// covers all three workload mixes (bookstore browsing plus both auction
+/// mixes) and both default TTL durations, so the golden pins the TTL
+/// staleness curve the audit-violation column records. The smoke fails
+/// unless transactional caching lifts EJB bookstore-browsing throughput at
+/// the top client count by at least 30% — the headline this tier exists to
+/// demonstrate — so the check.sh gate certifies the result, not just byte
+/// stability.
+fn cache_sweep(cfg: &HarnessConfig, out_dir: &Path, smoke: bool) -> Result<(), String> {
     use dynamid_harness::{
         cache_csv, cache_markdown, run_cache_sweep, CacheMode, CacheWorkload, CACHE_WORKLOADS,
-        DEFAULT_CACHE_TTLS,
+        DEFAULT_CACHE_CAPACITIES, DEFAULT_CACHE_TTLS,
     };
-    use std::time::Instant;
-
-    let mut cfg = pinned_smoke_cfg(jobs, 0.1, &[20, 100], 8);
-    cfg.configs = vec![
-        StandardConfig::PhpColocated,
-        StandardConfig::ServletDedicated,
-        StandardConfig::EjbFourTier,
-    ];
+    let verbose = cfg.verbose;
+    let (cfg, capacities): (HarnessConfig, &[usize]) = if smoke {
+        let mut pinned = pinned_smoke_cfg(cfg.jobs, 0.1, &[20, 100], 8);
+        pinned.configs = vec![
+            StandardConfig::PhpColocated,
+            StandardConfig::ServletDedicated,
+            StandardConfig::EjbFourTier,
+        ];
+        (pinned, &[1024])
+    } else {
+        eprintln!("== Cache-ablation sweep (bookstore + auction mixes, off/TTL/transactional)");
+        (cfg.clone(), &DEFAULT_CACHE_CAPACITIES)
+    };
 
     let t0 = Instant::now();
-    let data = run_cache_sweep(&cfg, &CACHE_WORKLOADS, &[1024], &DEFAULT_CACHE_TTLS);
+    let data = run_cache_sweep(&cfg, &CACHE_WORKLOADS, capacities, &DEFAULT_CACHE_TTLS);
     let secs = t0.elapsed().as_secs_f64();
     // Reaching this line means every cache-off and transactional point
     // passed the consistency audit (run_cache_sweep panics otherwise).
-    println!("{}", cache_markdown(&data));
+    emit(&cache_markdown(&data), out_dir, &[("cache.csv", &cache_csv(&data))])?;
+    if !smoke {
+        return Ok(());
+    }
 
     let wl = CacheWorkload::BookstoreBrowsing;
     let ejb = StandardConfig::EjbFourTier;
     let off = data.best_at_peak_clients(wl, ejb, CacheMode::Off).unwrap_or(0.0);
     let txn = data.best_at_peak_clients(wl, ejb, CacheMode::Transactional).unwrap_or(0.0);
     let uplift = if off > 0.0 { txn / off - 1.0 } else { 0.0 };
+    if uplift < 0.30 {
+        return Err(format!(
+            "cache smoke FAILED: transactional caching lifted EJB browsing throughput \
+             by only {:.1}% (< 30%) at the top client count",
+            uplift * 100.0
+        ));
+    }
     if verbose {
         eprintln!(
             "cache smoke: {} points in {secs:.3}s; EJB browsing at {} clients \
@@ -516,159 +481,118 @@ fn run_cache_smoke(jobs: usize, out_dir: &std::path::Path, verbose: bool) -> Exi
             uplift * 100.0,
         );
     }
-    if uplift < 0.30 {
-        eprintln!(
-            "cache smoke FAILED: transactional caching lifted EJB browsing throughput \
-             by only {:.1}% (< 30%) at the top client count",
-            uplift * 100.0
-        );
-        return ExitCode::FAILURE;
-    }
-
-    if let Err(e) = fs::create_dir_all(out_dir) {
-        eprintln!("cannot create {}: {e}", out_dir.display());
-        return ExitCode::FAILURE;
-    }
-    let csv_path = out_dir.join("cache.csv");
-    if let Err(e) = fs::write(&csv_path, cache_csv(&data)) {
-        eprintln!("could not write {}: {e}", csv_path.display());
-        return ExitCode::FAILURE;
-    }
-    if verbose {
-        eprintln!("wrote {}", csv_path.display());
-    }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-/// The pinned deterministic failover grid behind `repro failover --smoke`
-/// — check.sh byte-compares its CSV against `results/golden/failover.csv`.
+/// `repro failover`: the replicated-DB failover sweep over the default
+/// replica and storm ladders, written to `failover.csv`. Fails when a
+/// ≥2-replica point loses to the single-DB baseline.
 ///
-/// Like the cache smoke, every result-affecting knob is pinned; the grid
-/// is C1/C4/C6 × {0, 2} replicas × {calm, stormy}, with the primary killed
-/// a quarter into the measurement window at every point. Besides byte
-/// stability, a zero exit certifies three properties: every point passed
-/// the consistency audit (the sweep panics otherwise), every replicated
-/// point actually promoted a replica inside the window, and every
-/// 2-replica point beat the single-DB baseline's goodput.
-fn run_failover_smoke(jobs: usize, out_dir: &std::path::Path, verbose: bool) -> ExitCode {
-    use dynamid_harness::{failover_csv, failover_markdown, run_failover};
-    use std::time::Instant;
-
-    let cfg = pinned_smoke_cfg(jobs, 0.1, &[50], 8);
+/// With `--smoke` it runs the pinned deterministic grid check.sh
+/// byte-compares against `results/golden/failover.csv`: like the cache
+/// smoke, every result-affecting knob is pinned; the grid is C1/C4/C6 ×
+/// {0, 2} replicas × {calm, stormy}, with the primary killed a quarter
+/// into the measurement window at every point. Besides byte stability, a
+/// zero exit certifies three properties: every point passed the
+/// consistency audit (the sweep panics otherwise), every replicated point
+/// actually promoted a replica inside the window, and every 2-replica
+/// point beat the single-DB baseline's goodput.
+fn failover_sweep(cfg: &HarnessConfig, out_dir: &Path, smoke: bool) -> Result<(), String> {
+    use dynamid_harness::{
+        failover_csv, failover_markdown, run_failover, DEFAULT_REPLICAS, DEFAULT_STORM_INTENSITIES,
+    };
+    let verbose = cfg.verbose;
+    let (cfg, replicas, intensities): (HarnessConfig, &[usize], &[f64]) = if smoke {
+        (pinned_smoke_cfg(cfg.jobs, 0.1, &[50], 8), &[0, 2], &[0.0, 0.5])
+    } else {
+        eprintln!("== Failover sweep (goodput under a mid-measurement primary kill)");
+        (cfg.clone(), &DEFAULT_REPLICAS, &DEFAULT_STORM_INTENSITIES)
+    };
 
     let t0 = Instant::now();
-    let data = run_failover(&cfg, &[0, 2], &[0.0, 0.5]);
+    let data = run_failover(&cfg, replicas, intensities);
     let secs = t0.elapsed().as_secs_f64();
     // Reaching this line means every point passed the consistency audit
     // (run_failover panics otherwise).
-    println!("{}", failover_markdown(&data));
-
-    let unpromoted: Vec<String> = data
-        .points
-        .iter()
-        .filter(|p| p.replicas > 0 && p.failovers == 0)
-        .map(|p| {
-            format!("{} replicas={} intensity={}", p.config.paper_name(), p.replicas, p.intensity)
-        })
-        .collect();
-    if !unpromoted.is_empty() {
-        eprintln!("failover smoke FAILED: points never promoted a replica: {unpromoted:?}");
-        return ExitCode::FAILURE;
+    emit(&failover_markdown(&data), out_dir, &[("failover.csv", &failover_csv(&data))])?;
+    if smoke {
+        let unpromoted: Vec<String> = data
+            .points
+            .iter()
+            .filter(|p| p.replicas > 0 && p.failovers == 0)
+            .map(|p| {
+                format!(
+                    "{} replicas={} intensity={}",
+                    p.config.paper_name(),
+                    p.replicas,
+                    p.intensity
+                )
+            })
+            .collect();
+        claim("failover smoke FAILED: points never promoted a replica:", &unpromoted)?;
     }
-    let violations = data.baseline_violations();
-    if !violations.is_empty() {
-        eprintln!("failover smoke FAILED: replicated goodput lost to the baseline:");
-        for v in &violations {
-            eprintln!("  {v}");
-        }
-        return ExitCode::FAILURE;
-    }
-    if verbose {
+    claim(
+        "failover sweep FAILED: replicated goodput lost to the baseline:",
+        &data.baseline_violations(),
+    )?;
+    if smoke && verbose {
         eprintln!(
             "failover smoke: {} points in {secs:.3}s; every replicated point promoted, \
              every 2-replica point beat the baseline, audit clean",
             data.points.len()
         );
     }
-
-    if let Err(e) = fs::create_dir_all(out_dir) {
-        eprintln!("cannot create {}: {e}", out_dir.display());
-        return ExitCode::FAILURE;
-    }
-    let csv_path = out_dir.join("failover.csv");
-    if let Err(e) = fs::write(&csv_path, failover_csv(&data)) {
-        eprintln!("could not write {}: {e}", csv_path.display());
-        return ExitCode::FAILURE;
-    }
-    if verbose {
-        eprintln!("wrote {}", csv_path.display());
-    }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-/// The pinned deterministic flash-crowd grids behind `repro overload
-/// --smoke` — check.sh byte-compares their CSVs against
-/// `results/golden/overload.csv` and `results/golden/overload_c789.csv`.
+/// `repro overload`: the flash-crowd sweeps over the default spike ladder,
+/// written to `overload.csv` (C1/C4/C6) and `overload_c789.csv` (the
+/// front-ended C7/C8/C9 deployments).
 ///
-/// The first grid is C1/C4/C6 × {naive, shed, full} at one 6× spike; the
-/// second rides the front-ended deployments C7/C8/C9 through the same
-/// spike. Base rates are calibrated inside the sweep (75% of each
-/// architecture's sustainable open-loop rate), and the phase structure is
-/// pinned by the sweep module, so only `scale` and `seed` matter here.
-/// Besides byte stability, a zero exit certifies the headline claim: on
+/// With `--smoke` it runs the pinned deterministic grids check.sh
+/// byte-compares against `results/golden/overload.csv` and
+/// `results/golden/overload_c789.csv`: each configuration × {naive, shed,
+/// full} at one 6× spike. Base rates are calibrated inside the sweep (75%
+/// of each architecture's sustainable open-loop rate), and the phase
+/// structure is pinned by the sweep module, so only `scale` and `seed`
+/// matter here. Either way a zero exit certifies the headline claim: on
 /// every architecture — with or without a front end — the naive arm
 /// collapses to under 30% of its pre-spike goodput after the spike (the
 /// metastable retry storm), the fully controlled arm retains at least 70%
 /// and recovers within the spike's ramp-down, and every point passed the
 /// consistency audit (the sweep panics otherwise).
-fn run_overload_smoke(jobs: usize, out_dir: &std::path::Path, verbose: bool) -> ExitCode {
+fn overload_sweep(cfg: &HarnessConfig, out_dir: &Path, smoke: bool) -> Result<(), String> {
     use dynamid_harness::{
-        overload_csv, overload_markdown, run_overload_configs, FRONT_ENDED_OVERLOAD_CONFIGS,
-        OVERLOAD_CONFIGS,
+        overload_csv, overload_markdown, run_overload_configs, DEFAULT_SPIKE_MULTS,
+        FRONT_ENDED_OVERLOAD_CONFIGS, OVERLOAD_CONFIGS,
     };
-    use std::time::Instant;
+    let verbose = cfg.verbose;
+    let (cfg, spike_mults): (HarnessConfig, &[f64]) = if smoke {
+        (pinned_smoke_cfg(cfg.jobs, 0.1, &[], 8), &[6.0])
+    } else {
+        eprintln!("== Flash-crowd sweep (open-loop overload, naive vs controlled)");
+        (cfg.clone(), &DEFAULT_SPIKE_MULTS)
+    };
 
-    let cfg = pinned_smoke_cfg(jobs, 0.1, &[], 8);
-
-    if let Err(e) = fs::create_dir_all(out_dir) {
-        eprintln!("cannot create {}: {e}", out_dir.display());
-        return ExitCode::FAILURE;
-    }
     let grids: [(&str, &[StandardConfig]); 2] =
         [("overload.csv", &OVERLOAD_CONFIGS), ("overload_c789.csv", &FRONT_ENDED_OVERLOAD_CONFIGS)];
     for (file, configs) in grids {
         let t0 = Instant::now();
-        let data = run_overload_configs(&cfg, configs, &[6.0]);
+        let data = run_overload_configs(&cfg, configs, spike_mults);
         let secs = t0.elapsed().as_secs_f64();
         // Reaching this line means every point passed the consistency audit
         // (the sweep panics otherwise).
-        println!("{}", overload_markdown(&data));
-
-        let violations = data.violations();
-        if !violations.is_empty() {
-            eprintln!("overload smoke FAILED: the flash-crowd claim does not hold:");
-            for v in &violations {
-                eprintln!("  {v}");
-            }
-            return ExitCode::FAILURE;
-        }
-        if verbose {
+        emit(&overload_markdown(&data), out_dir, &[(file, &overload_csv(&data))])?;
+        claim("overload sweep FAILED: the flash-crowd claim does not hold:", &data.violations())?;
+        if smoke && verbose {
             eprintln!(
                 "overload smoke: {} points in {secs:.3}s; naive collapsed and full control \
                  recovered on every architecture, audit clean",
                 data.points.len()
             );
         }
-        let csv_path = out_dir.join(file);
-        if let Err(e) = fs::write(&csv_path, overload_csv(&data)) {
-            eprintln!("could not write {}: {e}", csv_path.display());
-            return ExitCode::FAILURE;
-        }
-        if verbose {
-            eprintln!("wrote {}", csv_path.display());
-        }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// How many times each smoke sweep is repeated; the minimum wall time is
@@ -690,9 +614,6 @@ const SMOKE_TIMING_REPS: u32 = 3;
 /// can diff wall-clock regressions; the modeled results themselves are
 /// covered by tests.
 fn run_smoke(verbose: bool, chaos: bool) -> ExitCode {
-    use dynamid_bookstore::BookstoreScale;
-    use std::time::Instant;
-
     // Deterministic miniature sweeps, each reproducible on any build as
     // `repro --fast --quiet --jobs 1 --seed 42 --scale <s> --clients <c>
     // --measure <m> <fig>`. The first two are dense low-client grids over
@@ -761,7 +682,7 @@ fn run_smoke(verbose: bool, chaos: bool) -> ExitCode {
     // Snapshot forks: what every sweep point pays to get its private
     // database. Copy-on-write makes this O(tables); the deep clone is the
     // pre-CoW cost, kept as the comparison baseline.
-    let base = dynamid_bookstore::build_db(&BookstoreScale::scaled(0.1), 42).expect("population");
+    let base = Benchmark::Bookstore.build_db(0.1, 42);
     let t0 = Instant::now();
     const FORKS: u32 = 200;
     for _ in 0..FORKS {
@@ -919,12 +840,10 @@ fn run_smoke(verbose: bool, chaos: bool) -> ExitCode {
                 / repl_points.len() as f64
         };
         let violations = data.baseline_violations();
-        if !violations.is_empty() {
-            eprintln!("smoke failover FAILED: replicated goodput lost to the baseline:");
-            for v in &violations {
-                eprintln!("  {v}");
-            }
-            return ExitCode::FAILURE;
+        let verdict =
+            claim("smoke failover FAILED: replicated goodput lost to the baseline:", &violations);
+        if verdict.is_err() {
+            return exit_status(verdict);
         }
         if verbose {
             eprintln!(
@@ -1006,7 +925,7 @@ fn run_smoke(verbose: bool, chaos: bool) -> ExitCode {
         use dynamid_workload::{ExperimentSpec, WorkloadConfig};
         let scale = 0.05;
         let clients = 3200;
-        let base = dynamid_auction::build_db(&AuctionScale::scaled(scale), 42).expect("population");
+        let base = Benchmark::Auction.build_db(scale, 42);
         let app = Auction::new(AuctionScale::scaled(scale));
         let mix = dynamid_auction::mixes::browsing();
         let t0 = Instant::now();
@@ -1280,6 +1199,16 @@ mod tests {
         assert!(!cli.cfg.verbose);
         assert_eq!(cli.out_dir, PathBuf::from("tmp"));
         assert_eq!(cli.targets, vec!["failover".to_string()]);
+    }
+
+    #[test]
+    fn emit_fails_when_the_target_path_is_a_directory() {
+        let dir = std::env::temp_dir().join(format!("repro-emit-{}", std::process::id()));
+        fs::create_dir_all(dir.join("fig05.csv")).expect("scratch directory");
+        let err = emit("# fig05", &dir, &[("fig05.csv", "clients,ipm\n")])
+            .expect_err("writing over a directory must fail");
+        assert!(err.contains("could not write"), "got: {err}");
+        fs::remove_dir_all(&dir).expect("scratch cleanup");
     }
 
     #[test]

@@ -20,13 +20,11 @@
 //! pricing oracle for TTL staleness: sweeping the TTL duration turns the
 //! `audit_violations` column into a staleness-versus-hit-rate curve.
 
-use crate::HarnessConfig;
+use crate::{Benchmark, HarnessConfig};
 use dynamid_auction::{Auction, AuctionScale};
 use dynamid_bookstore::{Bookstore, BookstoreScale};
 use dynamid_core::{CacheInvalidation, CachePolicy, CacheScope, CostModel, StandardConfig};
 use dynamid_workload::{CacheStats, ExperimentSpec, Mix};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// The caching policies the sweep ablates over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -309,8 +307,8 @@ pub fn cache_arms(capacities: &[usize], ttls: &[u64]) -> Vec<(CacheMode, usize, 
 
 /// Runs the full cache-ablation sweep over `workloads` × `cfg.configs` ×
 /// ([`CacheMode::Off`] + cached modes × `capacities` × `ttls`) × the
-/// client ladder, using the same worker-pool pattern as the figure sweeps
-/// (results are bit-identical for any `--jobs` value).
+/// client ladder on [`par_grid`](crate::par_grid), one fresh database fork
+/// per point (results are bit-identical for any `--jobs` value).
 ///
 /// # Panics
 ///
@@ -323,77 +321,38 @@ pub fn run_cache_sweep(
     ttls: &[u64],
 ) -> CacheSweepData {
     let clients = if cfg.clients.is_empty() {
-        crate::figures::default_clients(crate::Benchmark::Bookstore)
+        crate::figures::default_clients(Benchmark::Bookstore)
     } else {
         cfg.clients.clone()
     };
     let arms = cache_arms(capacities, ttls);
-    let bookstore_db = dynamid_bookstore::build_db(&BookstoreScale::scaled(cfg.scale), cfg.seed)
-        .expect("population");
-    let auction_db = if workloads.iter().any(|w| w.is_auction()) {
-        Some(
-            dynamid_auction::build_db(&AuctionScale::scaled(cfg.scale), cfg.seed)
-                .expect("population"),
-        )
-    } else {
-        None
-    };
+    let bookstore_db = Benchmark::Bookstore.build_db(cfg.scale, cfg.seed);
+    let auction_db = workloads
+        .iter()
+        .any(|w| w.is_auction())
+        .then(|| Benchmark::Auction.build_db(cfg.scale, cfg.seed));
 
-    let grid: Vec<(usize, usize, usize, usize)> = (0..workloads.len())
-        .flat_map(|wi| {
-            let (na, nn, nc) = (arms.len(), clients.len(), cfg.configs.len());
-            (0..nc).flat_map(move |ci| {
-                (0..na).flat_map(move |ai| (0..nn).map(move |ni| (wi, ci, ai, ni)))
-            })
-        })
-        .collect();
-    let workers = cfg.effective_jobs().min(grid.len()).max(1);
-
-    let run = |i: usize| {
-        let (wi, ci, ai, ni) = grid[i];
-        let workload = workloads[wi];
-        let (mode, capacity, ttl_us) = arms[ai];
-        let base_db = if workload.is_auction() {
-            auction_db.as_ref().expect("auction population built")
-        } else {
-            &bookstore_db
-        };
-        run_cache_point(
-            cfg,
-            base_db,
-            workload,
-            cfg.configs[ci],
-            mode,
-            capacity,
-            ttl_us,
-            clients[ni],
-        )
-    };
-    let points: Vec<CachePoint> = if workers == 1 {
-        (0..grid.len()).map(run).collect()
-    } else {
-        let slots: Mutex<Vec<Option<CachePoint>>> = Mutex::new(vec![None; grid.len()]);
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= grid.len() {
-                        break;
-                    }
-                    let point = run(i);
-                    slots.lock().expect("no panics hold the lock")[i] = Some(point);
-                });
+    let mut grid = Vec::new();
+    for &workload in workloads {
+        for &config in &cfg.configs {
+            for &arm in &arms {
+                grid.extend(clients.iter().map(|&n| (workload, config, arm, n)));
             }
-        });
-        slots
-            .into_inner()
-            .expect("workers joined")
-            .into_iter()
-            .map(|p| p.expect("every grid slot filled"))
-            .collect()
-    };
-
+        }
+    }
+    let points = crate::par_grid(
+        cfg.effective_jobs(),
+        &grid,
+        || (),
+        |(), &(workload, config, (mode, capacity, ttl_us), clients)| {
+            let base_db = if workload.is_auction() {
+                auction_db.as_ref().expect("auction population built")
+            } else {
+                &bookstore_db
+            };
+            run_cache_point(cfg, base_db, workload, config, mode, capacity, ttl_us, clients)
+        },
+    );
     CacheSweepData { workloads: workloads.to_vec(), arms, clients, points }
 }
 

@@ -16,14 +16,13 @@
 //! replica is promoted and takes the writes. Every point ends with the
 //! consistency audit — whatever the crash interrupted must have unwound.
 
-use crate::availability::{sweep_admission, sweep_resilience};
-use crate::HarnessConfig;
+use crate::availability::{fault_seed, sweep_admission, sweep_resilience};
+use crate::figures::sweep_workload;
+use crate::{Benchmark, HarnessConfig};
 use dynamid_bookstore::{Bookstore, BookstoreScale};
 use dynamid_core::{CostModel, ReplicaPolicy, StandardConfig};
 use dynamid_sim::SimDuration;
-use dynamid_workload::{ArrivalProcess, ChaosOptions, ExperimentSpec, FaultSpec, WorkloadConfig};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use dynamid_workload::{ChaosOptions, ExperimentSpec, FaultSpec, WorkloadConfig};
 
 /// The architectures the sweep compares (same family as the availability
 /// sweep): C1 `WsPhp-DB`, C4 `Ws-Servlet-DB`, C6 `Ws-Servlet-EJB-DB`.
@@ -158,18 +157,8 @@ fn run_failover_point(
     let app = Bookstore::new(BookstoreScale::scaled(cfg.scale));
     let mix = dynamid_bookstore::mixes::shopping();
     let clients = cfg.clients.first().copied().unwrap_or(100);
-    let workload = WorkloadConfig {
-        clients,
-        think_time: cfg.think_time,
-        session_time: cfg.session_time,
-        ramp_up: cfg.ramp_up,
-        measure: cfg.measure,
-        ramp_down: cfg.ramp_down,
-        seed: cfg.seed ^ clients as u64,
-        resilience: sweep_resilience(),
-        arrivals: ArrivalProcess::Closed,
-        timeline_bucket: None,
-    };
+    let workload =
+        WorkloadConfig { resilience: sweep_resilience(), ..sweep_workload(cfg, clients) };
     let mut spec = ExperimentSpec::for_config(config)
         .mix(&mix)
         .costs(CostModel::default())
@@ -181,9 +170,8 @@ fn run_failover_point(
         // The same intensity rank draws the same storm whatever the
         // architecture or replica count: per-machine forked streams mean
         // adding replicas never perturbs the other machines' schedules.
-        let fault_seed = cfg.seed ^ ((intensity * 1_000.0).round() as u64).wrapping_mul(0x9E37);
         spec = spec.chaos(ChaosOptions {
-            faults: Some(FaultSpec::at_intensity(fault_seed, intensity)),
+            faults: Some(FaultSpec::at_intensity(fault_seed(cfg, intensity), intensity)),
             admission: sweep_admission(),
         });
     }
@@ -255,58 +243,22 @@ impl ReportExt for Option<dynamid_workload::ReplicationReport> {
 }
 
 /// Runs the full failover sweep over [`FAILOVER_CONFIGS`] × `replicas` ×
-/// `intensities`, using the same worker-pool pattern as the figure sweeps
-/// (results are bit-identical for any `--jobs` value).
+/// `intensities` on [`par_grid`](crate::par_grid), one fresh database fork
+/// per point (results are bit-identical for any `--jobs` value).
 pub fn run_failover(cfg: &HarnessConfig, replicas: &[usize], intensities: &[f64]) -> FailoverData {
-    let base_db = dynamid_bookstore::build_db(&BookstoreScale::scaled(cfg.scale), cfg.seed)
-        .expect("population");
-    let grid: Vec<(usize, usize, usize)> = (0..FAILOVER_CONFIGS.len())
-        .flat_map(|ci| {
-            (0..replicas.len())
-                .flat_map(move |ri| (0..intensities.len()).map(move |ii| (ci, ri, ii)))
+    let base_db = Benchmark::Bookstore.build_db(cfg.scale, cfg.seed);
+    let grid: Vec<(StandardConfig, usize, f64)> = FAILOVER_CONFIGS
+        .iter()
+        .flat_map(|&c| {
+            replicas.iter().flat_map(move |&r| intensities.iter().map(move |&i| (c, r, i)))
         })
         .collect();
-    let workers = cfg.effective_jobs().min(grid.len()).max(1);
-
-    let points: Vec<FailoverPoint> = if workers == 1 {
-        grid.iter()
-            .map(|&(ci, ri, ii)| {
-                run_failover_point(
-                    cfg,
-                    &base_db,
-                    FAILOVER_CONFIGS[ci],
-                    replicas[ri],
-                    intensities[ii],
-                )
-            })
-            .collect()
-    } else {
-        let slots: Mutex<Vec<Option<FailoverPoint>>> = Mutex::new(vec![None; grid.len()]);
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(ci, ri, ii)) = grid.get(i) else { break };
-                    let point = run_failover_point(
-                        cfg,
-                        &base_db,
-                        FAILOVER_CONFIGS[ci],
-                        replicas[ri],
-                        intensities[ii],
-                    );
-                    slots.lock().expect("no panics hold the lock")[i] = Some(point);
-                });
-            }
-        });
-        slots
-            .into_inner()
-            .expect("workers joined")
-            .into_iter()
-            .map(|p| p.expect("every grid slot filled"))
-            .collect()
-    };
-
+    let points = crate::par_grid(
+        cfg.effective_jobs(),
+        &grid,
+        || (),
+        |(), &(config, n, intensity)| run_failover_point(cfg, &base_db, config, n, intensity),
+    );
     FailoverData { replicas: replicas.to_vec(), intensities: intensities.to_vec(), points }
 }
 

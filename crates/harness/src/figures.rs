@@ -8,8 +8,6 @@ use dynamid_core::{Application, CostModel, StandardConfig};
 use dynamid_sim::EngineStats;
 use dynamid_sqldb::Database;
 use dynamid_workload::{ArrivalProcess, ExperimentResult, ExperimentSpec, Mix, WorkloadConfig};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Which benchmark application a figure uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,6 +16,21 @@ pub enum Benchmark {
     Bookstore,
     /// Auction site.
     Auction,
+}
+
+impl Benchmark {
+    /// The populated database for this benchmark at `scale` and `seed`.
+    /// It depends on nothing else — never on the deployment — so one
+    /// build serves every point of a sweep through cheap forks.
+    pub fn build_db(self, scale: f64, seed: u64) -> Database {
+        match self {
+            Benchmark::Bookstore => {
+                dynamid_bookstore::build_db(&BookstoreScale::scaled(scale), seed)
+            }
+            Benchmark::Auction => dynamid_auction::build_db(&AuctionScale::scaled(scale), seed),
+        }
+        .expect("population")
+    }
 }
 
 /// One throughput-curve figure and its companion CPU-utilization figure.
@@ -300,33 +313,20 @@ fn run_point(
 
 /// Runs the full sweep for one figure pair.
 ///
-/// The (configuration × client count) grid is executed by
-/// [`HarnessConfig::jobs`] worker threads pulling points off a shared
-/// queue; every point is independent and deterministically seeded, so the
-/// returned curves are bit-identical regardless of thread count — `--jobs
-/// 1` and `--jobs 8` produce the same [`FigureData`]. Points are returned
-/// in sweep order (configurations in `cfg.configs` order, client counts
-/// ascending as given).
+/// The (configuration × client count) grid runs on [`HarnessConfig::jobs`]
+/// workers through [`par_grid`](crate::par_grid); every point is
+/// independent and deterministically seeded, so the returned curves are
+/// bit-identical regardless of thread count — `--jobs 1` and `--jobs 8`
+/// produce the same [`FigureData`]. Points are returned in sweep order
+/// (configurations in `cfg.configs` order, client counts ascending as
+/// given).
 pub fn run_figure(pair: FigurePair, cfg: &HarnessConfig) -> FigureData {
     let clients =
         if cfg.clients.is_empty() { default_clients(pair.benchmark) } else { cfg.clients.clone() };
     let mix = mix_for(&pair);
-
-    // The populated database depends only on benchmark, scale, and seed —
-    // never on the deployment configuration — so one build serves every
-    // point via cloning.
-    let base_db: Database = match pair.benchmark {
-        Benchmark::Bookstore => {
-            dynamid_bookstore::build_db(&BookstoreScale::scaled(cfg.scale), cfg.seed)
-                .expect("population")
-        }
-        Benchmark::Auction => dynamid_auction::build_db(&AuctionScale::scaled(cfg.scale), cfg.seed)
-            .expect("population"),
-    };
-
-    let grid: Vec<(usize, usize)> =
-        (0..cfg.configs.len()).flat_map(|ci| (0..clients.len()).map(move |ni| (ci, ni))).collect();
-    let workers = cfg.effective_jobs().min(grid.len()).max(1);
+    let base_db = pair.benchmark.build_db(cfg.scale, cfg.seed);
+    let grid: Vec<(StandardConfig, usize)> =
+        cfg.configs.iter().flat_map(|&c| clients.iter().map(move |&n| (c, n))).collect();
 
     // Each worker holds ONE copy-on-write fork of the base database for its
     // whole lifetime and rewinds it to pristine between points, so the
@@ -336,42 +336,22 @@ pub fn run_figure(pair: FigurePair, cfg: &HarnessConfig) -> FigureData {
     // in-flight abort's rollback) poisons the journal; the worker then
     // discards the fork and re-clones — correctness never depends on
     // approximate unwinding.
-    let run_worker = |next: &AtomicUsize, slots: &Mutex<Vec<Option<CurvePoint>>>| {
+    let fork = || {
         let mut db = base_db.clone();
         db.begin_rewind();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(&(ci, ni)) = grid.get(i) else { break };
-            let point = run_point(&pair, cfg, &mut db, &mix, cfg.configs[ci], clients[ni]);
-            if !db.rewind() {
-                db = base_db.clone();
-                db.begin_rewind();
-            }
-            debug_assert!(
-                db.same_data(&base_db),
-                "rewind must restore the pristine populated database"
-            );
-            slots.lock().expect("no panics hold the lock")[i] = Some(point);
-        }
+        db
     };
-
-    let slots: Mutex<Vec<Option<CurvePoint>>> = Mutex::new(vec![None; grid.len()]);
-    let next = AtomicUsize::new(0);
-    if workers == 1 {
-        run_worker(&next, &slots);
-    } else {
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| run_worker(&next, &slots));
-            }
-        });
-    }
-    let points: Vec<CurvePoint> = slots
-        .into_inner()
-        .expect("workers joined")
-        .into_iter()
-        .map(|p| p.expect("every grid slot filled"))
-        .collect();
+    let points = crate::par_grid(cfg.effective_jobs(), &grid, fork, |db, &(config, n)| {
+        let point = run_point(&pair, cfg, db, &mix, config, n);
+        if !db.rewind() {
+            *db = fork();
+        }
+        debug_assert!(
+            db.same_data(&base_db),
+            "rewind must restore the pristine populated database"
+        );
+        point
+    });
 
     let mut points = points.into_iter();
     let curves = cfg

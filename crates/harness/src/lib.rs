@@ -26,6 +26,7 @@ pub mod availability;
 pub mod cache_sweep;
 pub mod failover;
 pub mod figures;
+mod grid;
 pub mod overload;
 pub mod report;
 pub mod trace_run;
@@ -48,6 +49,7 @@ pub use figures::{
     default_clients, find_figure, run_figure, Benchmark, ConfigCurve, CurvePoint, FigureData,
     FigurePair, FIGURES,
 };
+pub use grid::par_grid;
 pub use overload::{
     overload_csv, overload_markdown, run_overload, run_overload_configs, OverloadData,
     OverloadMode, OverloadPoint, BASE_RATE_FRACTION, DEFAULT_SPIKE_MULTS,

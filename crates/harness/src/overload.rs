@@ -29,15 +29,13 @@
 //! [`ArrivalProcess::FlashCrowd`]: dynamid_workload::ArrivalProcess
 //! [`TimelineBucket`]: dynamid_workload::TimelineBucket
 
-use crate::HarnessConfig;
+use crate::{Benchmark, HarnessConfig};
 use dynamid_bookstore::{Bookstore, BookstoreScale};
 use dynamid_core::{AdmissionControl, BreakerPolicy, CostModel, OverloadControl, StandardConfig};
 use dynamid_sim::SimDuration;
 use dynamid_workload::{
     ArrivalProcess, ExperimentSpec, ResilienceConfig, RetryBudget, TimelineBucket, WorkloadConfig,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// The architectures the default sweep compares (same trio as the
 /// availability sweep): C1 `WsPhp-DB`, C4 `Ws-Servlet-DB`, C6
@@ -402,16 +400,16 @@ pub fn run_overload(cfg: &HarnessConfig, spike_mults: &[f64]) -> OverloadData {
 }
 
 /// Runs the flash-crowd sweep over an explicit configuration list ×
-/// [`OVERLOAD_MODES`] × `spike_mults`, using the same worker-pool pattern
-/// as the other sweeps (results are bit-identical for any `--jobs` value).
+/// [`OVERLOAD_MODES`] × `spike_mults` on [`par_grid`](crate::par_grid), one
+/// fresh database fork per point (results are bit-identical for any
+/// `--jobs` value).
 /// Capacities are calibrated once per configuration up front.
 pub fn run_overload_configs(
     cfg: &HarnessConfig,
     configs: &[StandardConfig],
     spike_mults: &[f64],
 ) -> OverloadData {
-    let base_db = dynamid_bookstore::build_db(&BookstoreScale::scaled(cfg.scale), cfg.seed)
-        .expect("population");
+    let base_db = Benchmark::Bookstore.build_db(cfg.scale, cfg.seed);
     let capacities: Vec<f64> = configs
         .iter()
         .map(|&c| {
@@ -422,47 +420,19 @@ pub fn run_overload_configs(
             ips
         })
         .collect();
-    let grid: Vec<(usize, usize, usize)> = (0..configs.len())
+    let grid: Vec<(usize, OverloadMode, f64)> = (0..configs.len())
         .flat_map(|ci| {
-            (0..OVERLOAD_MODES.len())
-                .flat_map(move |mi| (0..spike_mults.len()).map(move |si| (ci, mi, si)))
+            OVERLOAD_MODES.iter().flat_map(move |&m| spike_mults.iter().map(move |&x| (ci, m, x)))
         })
         .collect();
-    let workers = cfg.effective_jobs().min(grid.len()).max(1);
-
-    let run_cell = |&(ci, mi, si): &(usize, usize, usize)| {
-        run_overload_point(
-            cfg,
-            &base_db,
-            configs[ci],
-            capacities[ci],
-            OVERLOAD_MODES[mi],
-            spike_mults[si],
-        )
-    };
-    let points: Vec<OverloadPoint> = if workers == 1 {
-        grid.iter().map(run_cell).collect()
-    } else {
-        let slots: Mutex<Vec<Option<OverloadPoint>>> = Mutex::new(vec![None; grid.len()]);
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(cell) = grid.get(i) else { break };
-                    let point = run_cell(cell);
-                    slots.lock().expect("no panics hold the lock")[i] = Some(point);
-                });
-            }
-        });
-        slots
-            .into_inner()
-            .expect("workers joined")
-            .into_iter()
-            .map(|p| p.expect("every grid slot filled"))
-            .collect()
-    };
-
+    let points = crate::par_grid(
+        cfg.effective_jobs(),
+        &grid,
+        || (),
+        |(), &(ci, mode, spike)| {
+            run_overload_point(cfg, &base_db, configs[ci], capacities[ci], mode, spike)
+        },
+    );
     OverloadData { configs: configs.to_vec(), spike_mults: spike_mults.to_vec(), points }
 }
 

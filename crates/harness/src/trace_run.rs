@@ -80,17 +80,7 @@ pub fn default_trace_clients(pair: &FigurePair) -> usize {
 pub fn run_traced(pair: FigurePair, config: StandardConfig, cfg: &HarnessConfig) -> TracedRun {
     let clients = cfg.clients.first().copied().unwrap_or_else(|| default_trace_clients(&pair));
     let mix = mix_for(&pair);
-    let mut db = match pair.benchmark {
-        crate::figures::Benchmark::Bookstore => dynamid_bookstore::build_db(
-            &dynamid_bookstore::BookstoreScale::scaled(cfg.scale),
-            cfg.seed,
-        )
-        .expect("population"),
-        crate::figures::Benchmark::Auction => {
-            dynamid_auction::build_db(&dynamid_auction::AuctionScale::scaled(cfg.scale), cfg.seed)
-                .expect("population")
-        }
-    };
+    let mut db = pair.benchmark.build_db(cfg.scale, cfg.seed);
     let app = make_app(pair.benchmark, cfg.scale);
     let result = ExperimentSpec::for_config(config)
         .mix(&mix)
