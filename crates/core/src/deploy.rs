@@ -536,29 +536,17 @@ impl Deployment {
         app: &dyn Application,
         web_processes: u32,
     ) -> Deployment {
-        Self::install_impl(sim, config, db, app, web_processes, AdmissionControl::default())
+        Self::install_replicated(sim, config, db, app, web_processes, Default::default(), 0)
     }
 
     /// Installs `config` into `sim`: creates the machines, one lock per
     /// database table, the application lock groups, the web-server
-    /// process-pool semaphore(s), and (when `admission` enables them) the
-    /// bounded accept queue and database connection pool.
-    pub(crate) fn install_impl(
-        sim: &mut Simulation,
-        config: StandardConfig,
-        db: &Database,
-        app: &dyn Application,
-        web_processes: u32,
-        admission: AdmissionControl,
-    ) -> Deployment {
-        Self::install_replicated(sim, config, db, app, web_processes, admission, 0)
-    }
-
-    /// [`install_impl`](Self::install_impl) plus `replica_count` read
-    /// replicas of the database machine. The replicas are created *after*
-    /// every standard machine, so with `replica_count == 0` the machine ids
-    /// (and therefore every downstream result) are exactly those of the
-    /// single-DB deployment.
+    /// process-pool semaphore(s), (when `admission` enables them) the
+    /// bounded accept queue and database connection pool, and
+    /// `replica_count` read replicas of the database machine. The replicas
+    /// are created *after* every standard machine, so with
+    /// `replica_count == 0` the machine ids (and therefore every downstream
+    /// result) are exactly those of the single-DB deployment.
     ///
     /// Machine-creation order (which fixes machine ids) is: clients, the
     /// front end (C7–C9 only), the web servers, the dedicated servlet
@@ -1076,8 +1064,15 @@ mod tests {
             db_accept_queue: Some(4),
         };
         assert!(!ac.is_disabled());
-        let d =
-            Deployment::install_impl(&mut sim, StandardConfig::PhpColocated, &db, &NoApp, 32, ac);
+        let d = Deployment::install_replicated(
+            &mut sim,
+            StandardConfig::PhpColocated,
+            &db,
+            &NoApp,
+            32,
+            ac,
+            0,
+        );
         let pool = d.db_pool().expect("db pool registered");
         assert_ne!(pool, d.web_pool());
         let stats = sim.semaphore_stats(pool);

@@ -26,8 +26,9 @@
 //! A violation means the rollback machinery lost or invented a write;
 //! [`AuditReport::assert_clean`] fails loudly with every violation listed.
 
+use crate::figures::{make_app, Benchmark};
 use dynamid_sqldb::{Database, Value};
-use dynamid_workload::CommitLedger;
+use dynamid_workload::{CommitLedger, ExperimentResult, ExperimentSpec};
 
 /// Outcome of one audit pass: how many invariants were checked and which
 /// ones failed.
@@ -219,10 +220,28 @@ pub fn audit_auction(
     report
 }
 
+/// The one fork-run-audit path of every audited sweep point: runs `spec`
+/// on a fresh fork of `base_db` with a new `benchmark` application at
+/// population `scale`, then audits the fork against the run's commit
+/// ledger. The caller decides whether the report must be clean.
+pub(crate) fn run_audited(
+    benchmark: Benchmark,
+    scale: f64,
+    base_db: &Database,
+    spec: &ExperimentSpec,
+) -> (ExperimentResult, AuditReport) {
+    let mut db = base_db.clone();
+    let result = spec.run(&mut db, make_app(benchmark, scale).as_ref());
+    let report = match benchmark {
+        Benchmark::Bookstore => audit_bookstore(base_db, &db, &result.ledger),
+        Benchmark::Auction => audit_auction(base_db, &db, &result.ledger),
+    };
+    (result, report)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynamid_workload::CommitLedger;
 
     fn two_table_db() -> Database {
         use dynamid_sqldb::{ColumnType, TableSchema};

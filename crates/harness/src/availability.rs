@@ -15,12 +15,12 @@
 //! policy. Fault schedules compile deterministically from the sweep seed:
 //! the whole sweep is bit-reproducible.
 
+use crate::audit::run_audited;
 use crate::figures::sweep_workload;
 use crate::{Benchmark, HarnessConfig};
-use dynamid_bookstore::{Bookstore, BookstoreScale};
-use dynamid_core::{AdmissionControl, CostModel, StandardConfig};
-use dynamid_sim::SimDuration;
-use dynamid_workload::{ChaosOptions, ExperimentSpec, FaultSpec, ResilienceConfig, WorkloadConfig};
+use dynamid_core::{AdmissionControl, StandardConfig};
+use dynamid_sim::{ErrorCounters, SimDuration};
+use dynamid_workload::{ExperimentSpec, FaultSpec, Mix, ResilienceConfig, WorkloadConfig};
 
 /// The three architectures the sweep compares, one per paper family:
 /// C1 `WsPhp-DB` (2 machines), C4 `Ws-Servlet-DB` (3 machines), and
@@ -42,13 +42,6 @@ pub fn sweep_resilience() -> ResilienceConfig {
     }
 }
 
-/// The seed of the fault storm at `intensity`. It folds in the intensity
-/// rank so ladder points draw independent schedules, but nothing about the
-/// configuration: the same storm hits every architecture.
-pub(crate) fn fault_seed(cfg: &HarnessConfig, intensity: f64) -> u64 {
-    cfg.seed ^ ((intensity * 1_000.0).round() as u64).wrapping_mul(0x9E37)
-}
-
 /// The server-side admission limits every sweep point runs under.
 pub fn sweep_admission() -> AdmissionControl {
     AdmissionControl {
@@ -56,6 +49,29 @@ pub fn sweep_admission() -> AdmissionControl {
         db_connections: Some(48),
         db_accept_queue: Some(64),
     }
+}
+
+/// The spec every availability and failover point starts from: the
+/// bookstore shopping `mix` at the first client count, under the sweep's
+/// resilience and admission policy, hit by the fault storm at `intensity`
+/// (trivial at 0, so the run installs no faults).
+pub(crate) fn storm_spec<'a>(
+    cfg: &HarnessConfig,
+    mix: &'a Mix,
+    config: StandardConfig,
+    intensity: f64,
+) -> ExperimentSpec<'a> {
+    let clients = cfg.clients.first().copied().unwrap_or(100);
+    // The storm seed folds in the intensity rank so ladder points draw
+    // independent schedules, but nothing about the configuration: the same
+    // storm hits every architecture.
+    let seed = cfg.seed ^ ((intensity * 1_000.0).round() as u64).wrapping_mul(0x9E37);
+    ExperimentSpec::for_config(config)
+        .mix(mix)
+        .workload(WorkloadConfig { resilience: sweep_resilience(), ..sweep_workload(cfg, clients) })
+        .policy(cfg.policy)
+        .admission(sweep_admission())
+        .faults(FaultSpec::at_intensity(seed, intensity))
 }
 
 /// One (configuration, fault intensity) measurement.
@@ -73,33 +89,8 @@ pub struct AvailabilityPoint {
     pub goodput_ipm: f64,
     /// 99th-percentile response time (ms) of window completions.
     pub latency_p99_ms: f64,
-    /// Deadline expirations inside the window.
-    pub timeouts: u64,
-    /// Admission rejections inside the window.
-    pub rejects: u64,
-    /// Fault-killed attempts inside the window.
-    pub aborts: u64,
-    /// Retries issued inside the window.
-    pub retries: u64,
-    /// Interactions abandoned after the retry budget inside the window.
-    pub abandoned: u64,
-    /// Attempts aborted as deadlock victims inside the window.
-    pub deadlocks: u64,
-    /// Attempts shed by deadline-aware queue management inside the window
-    /// (zero unless an [`OverloadControl`] shed target is installed).
-    ///
-    /// [`OverloadControl`]: dynamid_core::OverloadControl
-    pub shed: u64,
-    /// Attempts denied client-side by an open circuit breaker inside the
-    /// window (zero unless a breaker is installed).
-    pub breaker_open: u64,
-}
-
-impl AvailabilityPoint {
-    /// Total failed attempts inside the window.
-    pub fn failed(&self) -> u64 {
-        self.timeouts + self.rejects + self.aborts + self.deadlocks + self.shed + self.breaker_open
-    }
+    /// The run's failure taxonomy inside the window.
+    pub errors: ErrorCounters,
 }
 
 /// A complete availability sweep: configurations × intensities, in grid
@@ -118,31 +109,16 @@ pub struct AvailabilityData {
 fn run_avail_point(
     cfg: &HarnessConfig,
     base_db: &dynamid_sqldb::Database,
+    mix: &Mix,
     config: StandardConfig,
     intensity: f64,
 ) -> AvailabilityPoint {
-    let mut db = base_db.clone();
-    let app = Bookstore::new(BookstoreScale::scaled(cfg.scale));
-    let mix = dynamid_bookstore::mixes::shopping();
-    let clients = cfg.clients.first().copied().unwrap_or(100);
-    let workload =
-        WorkloadConfig { resilience: sweep_resilience(), ..sweep_workload(cfg, clients) };
-    let chaos = ChaosOptions {
-        faults: Some(FaultSpec::at_intensity(fault_seed(cfg, intensity), intensity)),
-        admission: sweep_admission(),
-    };
-    let r = ExperimentSpec::for_config(config)
-        .mix(&mix)
-        .costs(CostModel::default())
-        .workload(workload)
-        .policy(cfg.policy)
-        .chaos(chaos)
-        .run(&mut db, &app);
+    let spec = storm_spec(cfg, mix, config, intensity);
+    let (r, audit) = run_audited(Benchmark::Bookstore, cfg.scale, base_db, &spec);
     // Every sweep point ends with a consistency audit: after the driver's
     // crash-consistent unwind the surviving database must be exactly
     // "baseline + committed transactions", whatever the faults did.
-    crate::audit::audit_bookstore(base_db, &db, &r.ledger)
-        .assert_clean(&format!("{} at intensity {intensity}", config.paper_name()));
+    audit.assert_clean(&format!("{} at intensity {intensity}", config.paper_name()));
     if cfg.verbose {
         eprintln!(
             "  {:<22} intensity={:<5} goodput={:>8.0} ipm p99={:>7.1} ms \
@@ -163,14 +139,7 @@ fn run_avail_point(
         throughput_ipm: r.throughput_ipm,
         goodput_ipm: r.goodput_ipm,
         latency_p99_ms: r.latency_p99.as_micros() as f64 / 1_000.0,
-        timeouts: r.errors.timeouts,
-        rejects: r.errors.rejects,
-        aborts: r.errors.aborts,
-        retries: r.errors.retries,
-        abandoned: r.errors.abandoned,
-        deadlocks: r.errors.deadlocks,
-        shed: r.errors.shed,
-        breaker_open: r.errors.breaker_open,
+        errors: r.errors,
     }
 }
 
@@ -179,6 +148,7 @@ fn run_avail_point(
 /// per point (results are bit-identical for any `--jobs` value).
 pub fn run_availability(cfg: &HarnessConfig, intensities: &[f64]) -> AvailabilityData {
     let base_db = Benchmark::Bookstore.build_db(cfg.scale, cfg.seed);
+    let mix = dynamid_bookstore::mixes::shopping();
     let grid: Vec<(StandardConfig, f64)> = AVAILABILITY_CONFIGS
         .iter()
         .flat_map(|&c| intensities.iter().map(move |&i| (c, i)))
@@ -187,7 +157,7 @@ pub fn run_availability(cfg: &HarnessConfig, intensities: &[f64]) -> Availabilit
         cfg.effective_jobs(),
         &grid,
         || (),
-        |(), &(config, intensity)| run_avail_point(cfg, &base_db, config, intensity),
+        |(), &(config, intensity)| run_avail_point(cfg, &base_db, &mix, config, intensity),
     );
     AvailabilityData { intensities: intensities.to_vec(), points }
 }
@@ -208,14 +178,14 @@ pub fn availability_csv(data: &AvailabilityData) -> String {
             p.throughput_ipm,
             p.goodput_ipm,
             p.latency_p99_ms,
-            p.timeouts,
-            p.rejects,
-            p.aborts,
-            p.retries,
-            p.abandoned,
-            p.deadlocks,
-            p.shed,
-            p.breaker_open,
+            p.errors.timeouts,
+            p.errors.rejects,
+            p.errors.aborts,
+            p.errors.retries,
+            p.errors.abandoned,
+            p.errors.deadlocks,
+            p.errors.shed,
+            p.errors.breaker_open,
         ));
     }
     out
@@ -270,8 +240,8 @@ mod tests {
             // fault-aborted, and this light load cannot fill the admission
             // queues. (Client timeouts can still fire on a slow-but-healthy
             // deployment — that is the resilience policy, not a fault.)
-            assert_eq!(clean.aborts, 0, "{config}: fault aborts at intensity 0");
-            assert_eq!(clean.rejects, 0, "{config}: admission rejects at intensity 0");
+            assert_eq!(clean.errors.aborts, 0, "{config}: fault aborts at intensity 0");
+            assert_eq!(clean.errors.rejects, 0, "{config}: admission rejects at intensity 0");
         }
         // Full intensity hurts someone: at least one failure recorded
         // somewhere in the hostile column.
@@ -279,7 +249,7 @@ mod tests {
             .points
             .iter()
             .filter(|p| p.intensity == 1.0)
-            .map(|p| p.timeouts + p.rejects + p.aborts)
+            .map(|p| p.errors.timeouts + p.errors.rejects + p.errors.aborts)
             .sum();
         assert!(hostile > 0, "full intensity produced zero failures");
     }
@@ -318,14 +288,17 @@ mod tests {
                 throughput_ipm: 99.0,
                 goodput_ipm: 98.0,
                 latency_p99_ms: 12.5,
-                timeouts: 1,
-                rejects: 2,
-                aborts: 3,
-                retries: 4,
-                abandoned: 5,
-                deadlocks: 6,
-                shed: 7,
-                breaker_open: 8,
+                errors: ErrorCounters {
+                    timeouts: 1,
+                    rejects: 2,
+                    aborts: 3,
+                    retries: 4,
+                    abandoned: 5,
+                    deadlocks: 6,
+                    shed: 7,
+                    breaker_open: 8,
+                    ..ErrorCounters::default()
+                },
             }],
         };
         let csv = availability_csv(&data);

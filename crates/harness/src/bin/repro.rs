@@ -34,13 +34,15 @@
 //! exit nonzero with a usage message. The whole command line is parsed by
 //! [`parse_args`], which is pure and unit-tested.
 
+use dynamid_bookstore::{Bookstore, BookstoreScale};
 use dynamid_core::StandardConfig;
+use dynamid_harness::figures::sweep_workload;
 use dynamid_harness::report::{cpu_markdown, peak_summary_line, sweep_csv, throughput_markdown};
 use dynamid_harness::{
     find_figure, run_figure, run_traced, Benchmark, FigurePair, HarnessConfig, FIGURES,
 };
 use dynamid_sim::SimDuration;
-use dynamid_sqldb::Database;
+use dynamid_workload::ExperimentSpec;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -66,12 +68,16 @@ const FLAGS: &[Flag] = &[
     Flag {
         name: "--chaos",
         value: None,
-        help: "with --smoke: also run a miniature availability sweep",
+        help: "with --smoke (required): also run a miniature availability sweep",
     },
     Flag { name: "--fast", value: None, help: "scaled-down populations and short windows" },
     Flag { name: "--quiet", value: None, help: "suppress progress" },
     Flag { name: "--scale", value: Some("<f>"), help: "population scale factor (default 1.0)" },
-    Flag { name: "--clients", value: Some("a,b,c"), help: "explicit client sweep" },
+    Flag {
+        name: "--clients",
+        value: Some("a,b,c"),
+        help: "explicit client sweep (one value for avail and failover)",
+    },
     Flag { name: "--measure", value: Some("<secs>"), help: "measurement window length" },
     Flag { name: "--seed", value: Some("<n>"), help: "master seed" },
     Flag {
@@ -231,6 +237,12 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     }
     if !smoke && targets.is_empty() {
         return Err("no target given".into());
+    }
+    if chaos && !smoke {
+        return Err("--chaos only adds a probe to --smoke".into());
+    }
+    if cfg.clients.len() > 1 && targets.iter().any(|t| t == "avail" || t == "failover") {
+        return Err("avail and failover run at one client count: give --clients one value".into());
     }
     Ok(Cli { cfg, targets, out_dir, smoke, chaos })
 }
@@ -519,7 +531,7 @@ fn failover_sweep(cfg: &HarnessConfig, out_dir: &Path, smoke: bool) -> Result<()
         let unpromoted: Vec<String> = data
             .points
             .iter()
-            .filter(|p| p.replicas > 0 && p.failovers == 0)
+            .filter(|p| p.replicas > 0 && p.errors.failovers == 0)
             .map(|p| {
                 format!(
                     "{} replicas={} intensity={}",
@@ -696,17 +708,18 @@ fn run_smoke(verbose: bool, chaos: bool) -> ExitCode {
     }
     let deep_micros = t0.elapsed().as_micros() as f64 / f64::from(DEEPS);
 
-    // Plan-cache temperature over one experiment point.
+    // Plan-cache temperature over one experiment point, run against `db`
+    // so the counters can be read back from it afterwards.
     let mut cfg = HarnessConfig::fast();
-    cfg.verbose = false;
-    cfg.jobs = 1;
     cfg.seed = 42;
-    cfg.clients = vec![25];
     cfg.measure = SimDuration::from_secs(10);
-    cfg.configs.truncate(1);
     let mut db = base.clone();
     let before = db.stats();
-    run_smoke_point(&cfg, &mut db);
+    ExperimentSpec::for_config(cfg.configs[0])
+        .mix(&dynamid_bookstore::mixes::browsing())
+        .workload(sweep_workload(&cfg, 25))
+        .policy(cfg.policy)
+        .run(&mut db, &Bookstore::new(BookstoreScale::scaled(cfg.scale)));
     let after = db.stats();
     let hits = after.plan_cache_hits - before.plan_cache_hits;
     let misses = after.plan_cache_misses - before.plan_cache_misses;
@@ -731,10 +744,14 @@ fn run_smoke(verbose: bool, chaos: bool) -> ExitCode {
         let secs = t0.elapsed().as_secs_f64();
         let goodput_clean: f64 =
             data.points.iter().filter(|p| p.intensity == 0.0).map(|p| p.goodput_ipm).sum();
-        let failed_hostile: u64 =
-            data.points.iter().filter(|p| p.intensity == 1.0).map(|p| p.failed()).sum();
-        let retries: u64 = data.points.iter().map(|p| p.retries).sum();
-        let deadlocks: u64 = data.points.iter().map(|p| p.deadlocks).sum();
+        let failed_hostile: u64 = data
+            .points
+            .iter()
+            .filter(|p| p.intensity == 1.0)
+            .map(|p| p.errors.failed_attempts())
+            .sum();
+        let retries: u64 = data.points.iter().map(|p| p.errors.retries).sum();
+        let deadlocks: u64 = data.points.iter().map(|p| p.errors.deadlocks).sum();
         // Every sweep point runs the post-run consistency audit and panics
         // on any violation; reaching this line means all points were clean.
         if verbose {
@@ -830,7 +847,7 @@ fn run_smoke(verbose: bool, chaos: bool) -> ExitCode {
         let secs = t0.elapsed().as_secs_f64();
         // Every point passed the consistency audit or run_failover would
         // have panicked before returning.
-        let promoted: u64 = data.points.iter().map(|p| p.failovers).sum();
+        let promoted: u64 = data.points.iter().map(|p| p.errors.failovers).sum();
         let elections_failed: u64 = data.points.iter().map(|p| p.elections_failed).sum();
         let repl_points: Vec<_> = data.points.iter().filter(|p| p.replicas > 0).collect();
         let mean_latency_ms = if repl_points.is_empty() {
@@ -889,9 +906,9 @@ fn run_smoke(verbose: bool, chaos: bool) -> ExitCode {
         };
         let naive = mean_retention(OverloadMode::Naive);
         let full = mean_retention(OverloadMode::Full);
-        let shed: u64 = data.points.iter().map(|p| p.shed).sum();
-        let breaker_open: u64 = data.points.iter().map(|p| p.breaker_open).sum();
-        let abandoned: u64 = data.points.iter().map(|p| p.abandoned).sum();
+        let shed: u64 = data.points.iter().map(|p| p.errors.shed).sum();
+        let breaker_open: u64 = data.points.iter().map(|p| p.errors.breaker_open).sum();
+        let abandoned: u64 = data.points.iter().map(|p| p.errors.abandoned).sum();
         if verbose {
             eprintln!(
                 "smoke overload: {} points in {secs:.3}s, mean retention naive {naive:.2} \
@@ -921,8 +938,7 @@ fn run_smoke(verbose: bool, chaos: bool) -> ExitCode {
     // number, and the smoke fails if it ever regresses to zero.
     let farm_json = {
         use dynamid_auction::{Auction, AuctionScale};
-        use dynamid_core::CostModel;
-        use dynamid_workload::{ExperimentSpec, WorkloadConfig};
+        use dynamid_workload::WorkloadConfig;
         let scale = 0.05;
         let clients = 3200;
         let base = Benchmark::Auction.build_db(scale, 42);
@@ -938,7 +954,6 @@ fn run_smoke(verbose: bool, chaos: bool) -> ExitCode {
             w.seed = 42 ^ clients as u64;
             ExperimentSpec::for_config(config)
                 .mix(&mix)
-                .costs(CostModel::default())
                 .workload(w)
                 .defer_unwind(true)
                 .run(&mut db, &app)
@@ -1063,34 +1078,6 @@ fn run_smoke(verbose: bool, chaos: bool) -> ExitCode {
         eprintln!("wrote BENCH_repro.json");
     }
     ExitCode::SUCCESS
-}
-
-/// Runs one experiment point against `db` so the plan-cache counters can
-/// be read back from it afterwards.
-fn run_smoke_point(cfg: &HarnessConfig, db: &mut Database) {
-    use dynamid_core::CostModel;
-    use dynamid_workload::{ExperimentSpec, WorkloadConfig};
-    let app =
-        dynamid_bookstore::Bookstore::new(dynamid_bookstore::BookstoreScale::scaled(cfg.scale));
-    let mix = dynamid_bookstore::mixes::browsing();
-    let workload = WorkloadConfig {
-        clients: cfg.clients[0],
-        think_time: cfg.think_time,
-        session_time: cfg.session_time,
-        ramp_up: cfg.ramp_up,
-        measure: cfg.measure,
-        ramp_down: cfg.ramp_down,
-        seed: cfg.seed ^ cfg.clients[0] as u64,
-        resilience: Default::default(),
-        arrivals: dynamid_workload::ArrivalProcess::Closed,
-        timeline_bucket: None,
-    };
-    ExperimentSpec::for_config(cfg.configs[0])
-        .mix(&mix)
-        .costs(CostModel::default())
-        .workload(workload)
-        .policy(cfg.policy)
-        .run(db, &app);
 }
 
 fn usage(err: &str) -> ExitCode {
@@ -1219,5 +1206,32 @@ mod tests {
         assert!(parse_args(&argv(&[])).is_err(), "no target given must error");
         // --smoke alone is a complete command line (targets optional).
         assert!(parse_args(&argv(&["--smoke"])).is_ok());
+    }
+
+    #[test]
+    fn chaos_without_smoke_is_rejected() {
+        let err = parse_args(&argv(&["--chaos", "fig05"]))
+            .err()
+            .expect("--chaos outside --smoke would be silently ignored");
+        assert!(err.contains("--chaos"), "got: {err}");
+        assert!(parse_args(&argv(&["--smoke", "--chaos"])).unwrap().chaos);
+    }
+
+    #[test]
+    fn single_point_sweeps_reject_a_client_list() {
+        // avail and failover run every point at the first client count, so
+        // a longer list would be silently truncated.
+        for target in ["avail", "failover"] {
+            let err = parse_args(&argv(&["--clients", "10,25", target]))
+                .err()
+                .expect("a client list must be rejected");
+            assert!(err.contains("--clients"), "{target}: got: {err}");
+            assert!(parse_args(&argv(&["--clients", "10", target])).is_ok());
+        }
+        let err = parse_args(&argv(&["--clients", "10,25", "fig05", "avail"]))
+            .err()
+            .expect("avail anywhere in the target list counts");
+        assert!(err.contains("--clients"), "got: {err}");
+        assert!(parse_args(&argv(&["--clients", "10,25", "fig05"])).is_ok());
     }
 }

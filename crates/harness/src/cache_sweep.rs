@@ -20,10 +20,9 @@
 //! pricing oracle for TTL staleness: sweeping the TTL duration turns the
 //! `audit_violations` column into a staleness-versus-hit-rate curve.
 
+use crate::audit::run_audited;
 use crate::{Benchmark, HarnessConfig};
-use dynamid_auction::{Auction, AuctionScale};
-use dynamid_bookstore::{Bookstore, BookstoreScale};
-use dynamid_core::{CacheInvalidation, CachePolicy, CacheScope, CostModel, StandardConfig};
+use dynamid_core::{CacheInvalidation, CachePolicy, CacheScope, StandardConfig};
 use dynamid_workload::{CacheStats, ExperimentSpec, Mix};
 
 /// The caching policies the sweep ablates over.
@@ -94,8 +93,11 @@ impl CacheWorkload {
         }
     }
 
-    fn is_auction(self) -> bool {
-        !matches!(self, CacheWorkload::BookstoreBrowsing)
+    fn benchmark(self) -> Benchmark {
+        match self {
+            CacheWorkload::BookstoreBrowsing => Benchmark::Bookstore,
+            CacheWorkload::AuctionBrowsing | CacheWorkload::AuctionBidding => Benchmark::Auction,
+        }
     }
 }
 
@@ -232,26 +234,15 @@ fn run_cache_point(
     ttl_us: u64,
     clients: usize,
 ) -> CachePoint {
-    let mut db = base_db.clone();
     let mix = workload.mix();
     let mut spec = ExperimentSpec::for_config(config)
         .mix(&mix)
-        .costs(CostModel::default())
         .workload(crate::figures::sweep_workload(cfg, clients))
         .policy(cfg.policy);
     if let Some(policy) = mode.policy(capacity, ttl_us) {
         spec = spec.caching(policy);
     }
-    let r = if workload.is_auction() {
-        spec.run(&mut db, &Auction::new(AuctionScale::scaled(cfg.scale)))
-    } else {
-        spec.run(&mut db, &Bookstore::new(BookstoreScale::scaled(cfg.scale)))
-    };
-    let report = if workload.is_auction() {
-        crate::audit::audit_auction(base_db, &db, &r.ledger)
-    } else {
-        crate::audit::audit_bookstore(base_db, &db, &r.ledger)
-    };
+    let (r, report) = run_audited(workload.benchmark(), cfg.scale, base_db, &spec);
     if mode.must_audit_clean() {
         report.assert_clean(&format!(
             "{} workload={} cache={} capacity={capacity} clients={clients}",
@@ -329,7 +320,7 @@ pub fn run_cache_sweep(
     let bookstore_db = Benchmark::Bookstore.build_db(cfg.scale, cfg.seed);
     let auction_db = workloads
         .iter()
-        .any(|w| w.is_auction())
+        .any(|w| w.benchmark() == Benchmark::Auction)
         .then(|| Benchmark::Auction.build_db(cfg.scale, cfg.seed));
 
     let mut grid = Vec::new();
@@ -345,10 +336,9 @@ pub fn run_cache_sweep(
         &grid,
         || (),
         |(), &(workload, config, (mode, capacity, ttl_us), clients)| {
-            let base_db = if workload.is_auction() {
-                auction_db.as_ref().expect("auction population built")
-            } else {
-                &bookstore_db
+            let base_db = match workload.benchmark() {
+                Benchmark::Bookstore => &bookstore_db,
+                Benchmark::Auction => auction_db.as_ref().expect("auction population built"),
             };
             run_cache_point(cfg, base_db, workload, config, mode, capacity, ttl_us, clients)
         },

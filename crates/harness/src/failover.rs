@@ -16,13 +16,12 @@
 //! replica is promoted and takes the writes. Every point ends with the
 //! consistency audit — whatever the crash interrupted must have unwound.
 
-use crate::availability::{fault_seed, sweep_admission, sweep_resilience};
-use crate::figures::sweep_workload;
+use crate::audit::run_audited;
+use crate::availability::storm_spec;
 use crate::{Benchmark, HarnessConfig};
-use dynamid_bookstore::{Bookstore, BookstoreScale};
-use dynamid_core::{CostModel, ReplicaPolicy, StandardConfig};
-use dynamid_sim::SimDuration;
-use dynamid_workload::{ChaosOptions, ExperimentSpec, FaultSpec, WorkloadConfig};
+use dynamid_core::{ReplicaPolicy, StandardConfig};
+use dynamid_sim::{ErrorCounters, SimDuration};
+use dynamid_workload::Mix;
 
 /// The architectures the sweep compares (same family as the availability
 /// sweep): C1 `WsPhp-DB`, C4 `Ws-Servlet-DB`, C6 `Ws-Servlet-EJB-DB`.
@@ -72,8 +71,6 @@ pub struct FailoverPoint {
     pub goodput_ipm: f64,
     /// 99th-percentile response time (ms) of window completions.
     pub latency_p99_ms: f64,
-    /// Successful primary promotions inside the window.
-    pub failovers: u64,
     /// Detection-to-promotion latency (ms) of the first failover (0 when
     /// none happened — the baseline rows).
     pub failover_latency_ms: f64,
@@ -83,18 +80,9 @@ pub struct FailoverPoint {
     pub fences: u64,
     /// Completed catch-up replays over the run.
     pub catchups: u64,
-    /// Deadline expirations inside the window.
-    pub timeouts: u64,
-    /// Admission rejections inside the window.
-    pub rejects: u64,
-    /// Fault-killed attempts inside the window.
-    pub aborts: u64,
-    /// Retries issued inside the window.
-    pub retries: u64,
-    /// Interactions abandoned after the retry budget inside the window.
-    pub abandoned: u64,
-    /// Attempts aborted as deadlock victims inside the window.
-    pub deadlocks: u64,
+    /// The run's failure taxonomy inside the window; `errors.failovers`
+    /// counts the successful primary promotions.
+    pub errors: ErrorCounters,
 }
 
 /// A complete failover sweep: configurations × replica counts × storm
@@ -146,47 +134,33 @@ impl FailoverData {
 
 /// Runs one sweep point. Self-contained and deterministically seeded, so
 /// points can run in any order or in parallel without changing results.
+/// The storm at `intensity` is the availability sweep's: the same rank
+/// draws the same storm whatever the architecture or replica count, since
+/// per-machine forked streams mean adding replicas never perturbs the
+/// other machines' schedules.
 fn run_failover_point(
     cfg: &HarnessConfig,
     base_db: &dynamid_sqldb::Database,
+    mix: &Mix,
     config: StandardConfig,
     replicas: usize,
     intensity: f64,
 ) -> FailoverPoint {
-    let mut db = base_db.clone();
-    let app = Bookstore::new(BookstoreScale::scaled(cfg.scale));
-    let mix = dynamid_bookstore::mixes::shopping();
-    let clients = cfg.clients.first().copied().unwrap_or(100);
-    let workload =
-        WorkloadConfig { resilience: sweep_resilience(), ..sweep_workload(cfg, clients) };
-    let mut spec = ExperimentSpec::for_config(config)
-        .mix(&mix)
-        .costs(CostModel::default())
-        .workload(workload)
-        .policy(cfg.policy)
-        .admission(sweep_admission())
-        .kill_primary(kill_at(cfg), kill_outage(cfg));
-    if intensity > 0.0 {
-        // The same intensity rank draws the same storm whatever the
-        // architecture or replica count: per-machine forked streams mean
-        // adding replicas never perturbs the other machines' schedules.
-        spec = spec.chaos(ChaosOptions {
-            faults: Some(FaultSpec::at_intensity(fault_seed(cfg, intensity), intensity)),
-            admission: sweep_admission(),
-        });
-    }
-    if replicas > 0 {
-        spec = spec.replication(sweep_policy(replicas));
-    }
-    let r = spec.run(&mut db, &app);
+    let spec = storm_spec(cfg, mix, config, intensity)
+        .kill_primary(kill_at(cfg), kill_outage(cfg))
+        .replication(sweep_policy(replicas));
+    let (r, audit) = run_audited(Benchmark::Bookstore, cfg.scale, base_db, &spec);
     // The sweep's oracle: after the crash, the failover, and the driver's
     // unwind, the surviving database must be exactly "baseline + committed
     // transactions" — stale promotion or fencing bugs would surface here.
-    crate::audit::audit_bookstore(base_db, &db, &r.ledger).assert_clean(&format!(
+    audit.assert_clean(&format!(
         "{} with {replicas} replicas at intensity {intensity}",
         config.paper_name()
     ));
-    let rep = r.replication.unwrap_or_default_report();
+    // Baseline rows install no replicated tier: zero stats and latency.
+    let rep = r.replication.unwrap_or_default();
+    let failover_latency_ms =
+        rep.first_failover_latency().map_or(0.0, |d| d.as_micros() as f64 / 1_000.0);
     if cfg.verbose {
         eprintln!(
             "  {:<22} replicas={} intensity={:<5} goodput={:>8.0} ipm \
@@ -195,9 +169,9 @@ fn run_failover_point(
             replicas,
             intensity,
             r.goodput_ipm,
-            rep.1,
-            rep.0.fences,
-            rep.0.catchups,
+            failover_latency_ms,
+            rep.stats.fences,
+            rep.stats.catchups,
         );
     }
     FailoverPoint {
@@ -208,37 +182,11 @@ fn run_failover_point(
         throughput_ipm: r.throughput_ipm,
         goodput_ipm: r.goodput_ipm,
         latency_p99_ms: r.latency_p99.as_micros() as f64 / 1_000.0,
-        failovers: r.errors.failovers,
-        failover_latency_ms: rep.1,
-        elections_failed: rep.0.failed_elections,
-        fences: rep.0.fences,
-        catchups: rep.0.catchups,
-        timeouts: r.errors.timeouts,
-        rejects: r.errors.rejects,
-        aborts: r.errors.aborts,
-        retries: r.errors.retries,
-        abandoned: r.errors.abandoned,
-        deadlocks: r.errors.deadlocks,
-    }
-}
-
-/// Helper: stats + first failover latency (ms), zeros for baseline rows.
-trait ReportExt {
-    fn unwrap_or_default_report(self) -> (dynamid_core::ReplicationStats, f64);
-}
-
-impl ReportExt for Option<dynamid_workload::ReplicationReport> {
-    fn unwrap_or_default_report(self) -> (dynamid_core::ReplicationStats, f64) {
-        match self {
-            Some(rep) => {
-                let ms = rep
-                    .first_failover_latency()
-                    .map(|d| d.as_micros() as f64 / 1_000.0)
-                    .unwrap_or(0.0);
-                (rep.stats, ms)
-            }
-            None => (dynamid_core::ReplicationStats::default(), 0.0),
-        }
+        failover_latency_ms,
+        elections_failed: rep.stats.failed_elections,
+        fences: rep.stats.fences,
+        catchups: rep.stats.catchups,
+        errors: r.errors,
     }
 }
 
@@ -247,6 +195,7 @@ impl ReportExt for Option<dynamid_workload::ReplicationReport> {
 /// per point (results are bit-identical for any `--jobs` value).
 pub fn run_failover(cfg: &HarnessConfig, replicas: &[usize], intensities: &[f64]) -> FailoverData {
     let base_db = Benchmark::Bookstore.build_db(cfg.scale, cfg.seed);
+    let mix = dynamid_bookstore::mixes::shopping();
     let grid: Vec<(StandardConfig, usize, f64)> = FAILOVER_CONFIGS
         .iter()
         .flat_map(|&c| {
@@ -257,7 +206,7 @@ pub fn run_failover(cfg: &HarnessConfig, replicas: &[usize], intensities: &[f64]
         cfg.effective_jobs(),
         &grid,
         || (),
-        |(), &(config, n, intensity)| run_failover_point(cfg, &base_db, config, n, intensity),
+        |(), &(config, n, intensity)| run_failover_point(cfg, &base_db, &mix, config, n, intensity),
     );
     FailoverData { replicas: replicas.to_vec(), intensities: intensities.to_vec(), points }
 }
@@ -280,17 +229,17 @@ pub fn failover_csv(data: &FailoverData) -> String {
             p.throughput_ipm,
             p.goodput_ipm,
             p.latency_p99_ms,
-            p.failovers,
+            p.errors.failovers,
             p.failover_latency_ms,
             p.elections_failed,
             p.fences,
             p.catchups,
-            p.timeouts,
-            p.rejects,
-            p.aborts,
-            p.retries,
-            p.abandoned,
-            p.deadlocks,
+            p.errors.timeouts,
+            p.errors.rejects,
+            p.errors.aborts,
+            p.errors.retries,
+            p.errors.abandoned,
+            p.errors.deadlocks,
         ));
     }
     out
@@ -353,10 +302,10 @@ mod tests {
             let base = data.point(config, 0, 0.0).expect("baseline point");
             let repl = data.point(config, 2, 0.0).expect("replicated point");
             // The baseline has no tier to fail over to.
-            assert_eq!(base.failovers, 0, "{config}: baseline cannot fail over");
+            assert_eq!(base.errors.failovers, 0, "{config}: baseline cannot fail over");
             assert_eq!(base.failover_latency_ms, 0.0);
             // The replicated tier promoted exactly once, inside the window.
-            assert_eq!(repl.failovers, 1, "{config}: expected one failover");
+            assert_eq!(repl.errors.failovers, 1, "{config}: expected one failover");
             assert!(repl.failover_latency_ms > 0.0, "{config}: no latency recorded");
             // The ex-primary rejoined fenced and replayed the stream.
             assert!(repl.fences > 0, "{config}: rejoin never fenced");
@@ -395,17 +344,20 @@ mod tests {
                 throughput_ipm: 99.0,
                 goodput_ipm: 98.0,
                 latency_p99_ms: 12.5,
-                failovers: 1,
                 failover_latency_ms: 450.5,
                 elections_failed: 0,
                 fences: 1,
                 catchups: 1,
-                timeouts: 1,
-                rejects: 2,
-                aborts: 3,
-                retries: 4,
-                abandoned: 5,
-                deadlocks: 6,
+                errors: ErrorCounters {
+                    timeouts: 1,
+                    rejects: 2,
+                    aborts: 3,
+                    retries: 4,
+                    abandoned: 5,
+                    deadlocks: 6,
+                    failovers: 1,
+                    ..ErrorCounters::default()
+                },
             }],
         };
         let csv = failover_csv(&data);

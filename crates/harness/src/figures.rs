@@ -4,7 +4,7 @@
 use crate::HarnessConfig;
 use dynamid_auction::{Auction, AuctionScale};
 use dynamid_bookstore::{Bookstore, BookstoreScale};
-use dynamid_core::{Application, CostModel, StandardConfig};
+use dynamid_core::{Application, StandardConfig};
 use dynamid_sim::EngineStats;
 use dynamid_sqldb::Database;
 use dynamid_workload::{ArrivalProcess, ExperimentResult, ExperimentSpec, Mix, WorkloadConfig};
@@ -253,7 +253,7 @@ pub(crate) fn make_app(benchmark: Benchmark, scale: f64) -> Box<dyn Application>
 
 /// The workload phases for one sweep point: harness phase lengths with
 /// the point seed derived only from the master seed and the client count.
-pub(crate) fn sweep_workload(cfg: &HarnessConfig, clients: usize) -> WorkloadConfig {
+pub fn sweep_workload(cfg: &HarnessConfig, clients: usize) -> WorkloadConfig {
     WorkloadConfig {
         clients,
         think_time: cfg.think_time,
@@ -290,7 +290,6 @@ fn run_point(
     let app = make_app(pair.benchmark, cfg.scale);
     let result = ExperimentSpec::for_config(config)
         .mix(mix)
-        .costs(CostModel::default())
         .workload(sweep_workload(cfg, n))
         .policy(cfg.policy)
         .defer_unwind(true)

@@ -29,10 +29,11 @@
 //! [`ArrivalProcess::FlashCrowd`]: dynamid_workload::ArrivalProcess
 //! [`TimelineBucket`]: dynamid_workload::TimelineBucket
 
+use crate::audit::run_audited;
 use crate::{Benchmark, HarnessConfig};
 use dynamid_bookstore::{Bookstore, BookstoreScale};
-use dynamid_core::{AdmissionControl, BreakerPolicy, CostModel, OverloadControl, StandardConfig};
-use dynamid_sim::SimDuration;
+use dynamid_core::{AdmissionControl, BreakerPolicy, OverloadControl, StandardConfig};
+use dynamid_sim::{ErrorCounters, SimDuration};
 use dynamid_workload::{
     ArrivalProcess, ExperimentSpec, ResilienceConfig, RetryBudget, TimelineBucket, WorkloadConfig,
 };
@@ -153,17 +154,8 @@ pub struct OverloadPoint {
     pub retention: f64,
     /// 99th-percentile latency (ms) of window completions.
     pub latency_p99_ms: f64,
-    /// Deadline expirations inside the window.
-    pub timeouts: u64,
-    /// Attempts shed at dequeue inside the window.
-    pub shed: u64,
-    /// Attempts fast-failed by the open breaker inside the window.
-    pub breaker_open: u64,
-    /// Interactions abandoned (retries or budget exhausted) inside the
-    /// window.
-    pub abandoned: u64,
-    /// Retries issued inside the window.
-    pub retries: u64,
+    /// The run's failure taxonomy inside the window.
+    pub errors: ErrorCounters,
 }
 
 /// A complete flash-crowd sweep: configurations × modes × intensities, in
@@ -266,7 +258,6 @@ fn probe_sustains(
     };
     let r = ExperimentSpec::for_config(config)
         .mix(&mix)
-        .costs(CostModel::default())
         .workload(workload)
         .policy(cfg.policy)
         .admission(overload_admission())
@@ -314,8 +305,6 @@ fn run_overload_point(
     mode: OverloadMode,
     spike_mult: f64,
 ) -> OverloadPoint {
-    let mut db = base_db.clone();
-    let app = Bookstore::new(BookstoreScale::scaled(cfg.scale));
     let mix = dynamid_bookstore::mixes::shopping();
     let base_rps = BASE_RATE_FRACTION * capacity_ips;
     let workload = WorkloadConfig {
@@ -339,22 +328,17 @@ fn run_overload_point(
         },
         timeline_bucket: Some(SimDuration::from_secs(1)),
     };
-    let r = ExperimentSpec::for_config(config)
+    let spec = ExperimentSpec::for_config(config)
         .mix(&mix)
-        .costs(CostModel::default())
         .workload(workload)
         .policy(cfg.policy)
         .admission(overload_admission())
-        .overload(overload_control(mode))
-        .run(&mut db, &app);
-    // The PR 4 consistency audit runs at every point: overload shedding,
+        .overload(overload_control(mode));
+    let (r, audit) = run_audited(Benchmark::Bookstore, cfg.scale, base_db, &spec);
+    // The consistency audit runs at every point: overload shedding,
     // breaker denials, and abandoned retries must never leak a partial
     // transaction into the surviving database.
-    crate::audit::audit_bookstore(base_db, &db, &r.ledger).assert_clean(&format!(
-        "{} {} at {spike_mult}x spike",
-        config.paper_name(),
-        mode.label()
-    ));
+    audit.assert_clean(&format!("{} {} at {spike_mult}x spike", config.paper_name(), mode.label()));
     let spike_start = RAMP_UP_SECS + PRE_SECS;
     let spike_end = spike_start + SPIKE_SECS + SPIKE_RAMP_SECS;
     let horizon = RAMP_UP_SECS + MEASURE_SECS;
@@ -384,11 +368,7 @@ fn run_overload_point(
         recovery_goodput_ipm: recovery,
         retention,
         latency_p99_ms: r.latency_p99.as_micros() as f64 / 1_000.0,
-        timeouts: r.errors.timeouts,
-        shed: r.errors.shed,
-        breaker_open: r.errors.breaker_open,
-        abandoned: r.errors.abandoned,
-        retries: r.errors.retries,
+        errors: r.errors,
     }
 }
 
@@ -456,11 +436,11 @@ pub fn overload_csv(data: &OverloadData) -> String {
             p.recovery_goodput_ipm,
             p.retention,
             p.latency_p99_ms,
-            p.timeouts,
-            p.shed,
-            p.breaker_open,
-            p.abandoned,
-            p.retries,
+            p.errors.timeouts,
+            p.errors.shed,
+            p.errors.breaker_open,
+            p.errors.abandoned,
+            p.errors.retries,
         ));
     }
     out
@@ -521,12 +501,15 @@ mod tests {
         for config in OVERLOAD_CONFIGS {
             let naive = data.point(config, OverloadMode::Naive, 6.0).unwrap();
             let full = data.point(config, OverloadMode::Full, 6.0).unwrap();
-            assert!(full.shed + full.breaker_open > 0, "{config}: controls never engaged");
             assert!(
-                full.retries <= naive.retries,
+                full.errors.shed + full.errors.breaker_open > 0,
+                "{config}: controls never engaged"
+            );
+            assert!(
+                full.errors.retries <= naive.errors.retries,
                 "{config}: budgeted retries ({}) exceed the naive storm ({})",
-                full.retries,
-                naive.retries
+                full.errors.retries,
+                naive.errors.retries
             );
         }
     }
@@ -578,11 +561,14 @@ mod tests {
                 recovery_goodput_ipm: 4600.0,
                 retention: 0.958,
                 latency_p99_ms: 42.5,
-                timeouts: 1,
-                shed: 2,
-                breaker_open: 3,
-                abandoned: 4,
-                retries: 5,
+                errors: ErrorCounters {
+                    timeouts: 1,
+                    shed: 2,
+                    breaker_open: 3,
+                    abandoned: 4,
+                    retries: 5,
+                    ..ErrorCounters::default()
+                },
             }],
         };
         let csv = overload_csv(&data);

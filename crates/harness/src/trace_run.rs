@@ -12,7 +12,7 @@
 
 use crate::figures::{make_app, mix_for, sweep_workload, FigurePair};
 use crate::HarnessConfig;
-use dynamid_core::{CostModel, StandardConfig};
+use dynamid_core::StandardConfig;
 use dynamid_trace::{chrome_trace_json, verify_capture, BottleneckReport, TraceCapture};
 use dynamid_workload::{ExperimentResult, ExperimentSpec};
 
@@ -84,7 +84,6 @@ pub fn run_traced(pair: FigurePair, config: StandardConfig, cfg: &HarnessConfig)
     let app = make_app(pair.benchmark, cfg.scale);
     let result = ExperimentSpec::for_config(config)
         .mix(&mix)
-        .costs(CostModel::default())
         .workload(sweep_workload(cfg, clients))
         .policy(cfg.policy)
         .tracing(true)

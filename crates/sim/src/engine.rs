@@ -311,11 +311,6 @@ impl Simulation {
         self.trace = Some(TraceRecorder::new());
     }
 
-    /// `true` once [`enable_tracing`](Self::enable_tracing) has been called.
-    pub fn tracing_enabled(&self) -> bool {
-        self.trace.is_some()
-    }
-
     /// Takes every finished op interval recorded so far as column buffers,
     /// in the engine's deterministic end order. Empty when tracing is off.
     pub fn take_op_intervals(&mut self) -> IntervalColumns {

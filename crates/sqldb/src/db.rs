@@ -429,12 +429,6 @@ impl Database {
         self.journal_dirty = false;
     }
 
-    /// Disarms the rewind journal without restoring anything.
-    pub fn end_rewind(&mut self) {
-        self.journal = None;
-        self.journal_dirty = false;
-    }
-
     /// Restores the table state captured by the last
     /// [`begin_rewind`](Self::begin_rewind) by applying the journal in
     /// reverse, then re-arms the journal. Returns `false` (leaving the
@@ -464,12 +458,6 @@ impl Database {
             cache.clear();
         }
         true
-    }
-
-    /// Number of row mutations currently recorded in the rewind journal
-    /// (diagnostics).
-    pub fn rewind_journal_len(&self) -> usize {
-        self.journal.as_ref().map_or(0, TxnLog::len)
     }
 
     fn apply_undo_log(&mut self, log: TxnLog) {

@@ -82,8 +82,7 @@ pub struct WorkloadConfig {
 
 impl WorkloadConfig {
     /// The paper's client model with shortened phases suitable for
-    /// simulation (the full paper-length phases are available through
-    /// [`paper_phases`](Self::paper_phases)).
+    /// simulation.
     pub fn new(clients: usize) -> Self {
         WorkloadConfig {
             clients,
@@ -97,25 +96,6 @@ impl WorkloadConfig {
             arrivals: ArrivalProcess::Closed,
             timeline_bucket: None,
         }
-    }
-
-    /// Phase lengths as the paper used for the given benchmark
-    /// (`bookstore`: 1/20/1 min; `auction`: 5/30/5 min).
-    pub fn paper_phases(mut self, benchmark: &str) -> Self {
-        let (up, measure, down) = match benchmark {
-            "bookstore" => (1, 20, 1),
-            _ => (5, 30, 5),
-        };
-        self.ramp_up = SimDuration::from_mins(up);
-        self.measure = SimDuration::from_mins(measure);
-        self.ramp_down = SimDuration::from_mins(down);
-        self
-    }
-
-    /// Overrides the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
     }
 
     /// Total run length.

@@ -5,7 +5,7 @@ use crate::driver::{
     CommitLedger, ReplicationReport, ResourceWindow, WorkloadConfig, WorkloadDriver,
     WorkloadMetrics,
 };
-use crate::fault::{ChaosOptions, FaultSpec, ResilienceConfig};
+use crate::fault::FaultSpec;
 use crate::mix::Mix;
 use dynamid_core::{
     AdmissionControl, Application, CachePolicy, CacheScope, CostModel, InstallOptions,
@@ -120,8 +120,8 @@ impl ExperimentResult {
 }
 
 /// Builder for one experiment run — the single entry point for every
-/// combination of configuration, cost model, lock policy, chaos options,
-/// and tracing.
+/// combination of configuration, cost model, lock policy, faults,
+/// admission control, and tracing.
 ///
 /// Defaults reproduce the paper's setup: default cost model, default lock
 /// grant policy, no faults, no admission control, patient clients, and no
@@ -141,7 +141,8 @@ pub struct ExperimentSpec<'a> {
     mix: Option<&'a Mix>,
     workload: WorkloadConfig,
     policy: GrantPolicy,
-    chaos: ChaosOptions,
+    faults: Option<FaultSpec>,
+    admission: AdmissionControl,
     tracing: bool,
     defer_unwind: bool,
     caching: Option<CachePolicy>,
@@ -160,7 +161,8 @@ impl<'a> ExperimentSpec<'a> {
             mix: None,
             workload: WorkloadConfig::new(10),
             policy: GrantPolicy::default(),
-            chaos: ChaosOptions::default(),
+            faults: None,
+            admission: AdmissionControl::default(),
             tracing: false,
             defer_unwind: false,
             caching: None,
@@ -194,27 +196,15 @@ impl<'a> ExperimentSpec<'a> {
         self
     }
 
-    /// Client-side timeout/retry policy (overrides the workload's).
-    pub fn resilience(mut self, resilience: ResilienceConfig) -> Self {
-        self.workload.resilience = resilience;
-        self
-    }
-
     /// Fault injection compiled against the deployment's server machines.
     pub fn faults(mut self, faults: FaultSpec) -> Self {
-        self.chaos.faults = Some(faults);
+        self.faults = Some(faults);
         self
     }
 
     /// Admission-control limits (bounded accept queue, DB connection pool).
     pub fn admission(mut self, admission: AdmissionControl) -> Self {
-        self.chaos.admission = admission;
-        self
-    }
-
-    /// Both chaos knobs at once (faults + admission).
-    pub fn chaos(mut self, chaos: ChaosOptions) -> Self {
-        self.chaos = chaos;
+        self.admission = admission;
         self
     }
 
@@ -320,7 +310,7 @@ impl<'a> ExperimentSpec<'a> {
             app,
             self.costs.clone(),
             InstallOptions {
-                admission: self.chaos.admission,
+                admission: self.admission,
                 tracing: self.tracing,
                 method_cache: self.caching.and_then(|p| {
                     matches!(p.scope, CacheScope::Methods | CacheScope::Both).then_some(
@@ -333,7 +323,7 @@ impl<'a> ExperimentSpec<'a> {
         );
         let total = workload.total();
         let mut plan = FaultPlan::none();
-        if let Some(spec) = self.chaos.faults {
+        if let Some(spec) = self.faults {
             if !spec.is_trivial() {
                 let d = middleware.deployment();
                 let mut servers = Vec::new();
@@ -428,6 +418,7 @@ impl<'a> ExperimentSpec<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::ResilienceConfig;
     use crate::mix::TransitionMatrix;
     use dynamid_core::{
         AppLockSpec, AppResult, Application, InteractionSpec, LogicStyle, RequestCtx, SessionData,
@@ -646,13 +637,15 @@ mod tests {
             let mut db = mini_db();
             ExperimentSpec::for_config(StandardConfig::ServletDedicated)
                 .mix(&mix)
-                .workload(quick(25))
-                .resilience(ResilienceConfig {
-                    request_timeout: Some(SimDuration::from_secs(2)),
-                    max_retries: 2,
-                    backoff_base: SimDuration::from_millis(100),
-                    backoff_cap: SimDuration::from_secs(1),
-                    retry_budget: None,
+                .workload(WorkloadConfig {
+                    resilience: ResilienceConfig {
+                        request_timeout: Some(SimDuration::from_secs(2)),
+                        max_retries: 2,
+                        backoff_base: SimDuration::from_millis(100),
+                        backoff_cap: SimDuration::from_secs(1),
+                        retry_budget: None,
+                    },
+                    ..quick(25)
                 })
                 .faults(FaultSpec::at_intensity(13, 0.8))
                 .admission(AdmissionControl {
@@ -698,13 +691,15 @@ mod tests {
         let mut db = mini_db();
         let r = ExperimentSpec::for_config(StandardConfig::ServletDedicated)
             .mix(&mix)
-            .workload(quick(25))
-            .resilience(ResilienceConfig {
-                request_timeout: Some(SimDuration::from_secs(2)),
-                max_retries: 2,
-                backoff_base: SimDuration::from_millis(100),
-                backoff_cap: SimDuration::from_secs(1),
-                retry_budget: None,
+            .workload(WorkloadConfig {
+                resilience: ResilienceConfig {
+                    request_timeout: Some(SimDuration::from_secs(2)),
+                    max_retries: 2,
+                    backoff_base: SimDuration::from_millis(100),
+                    backoff_cap: SimDuration::from_secs(1),
+                    retry_budget: None,
+                },
+                ..quick(25)
             })
             .faults(FaultSpec::at_intensity(13, 0.8))
             .admission(AdmissionControl {
@@ -867,7 +862,7 @@ mod tests {
     }
 
     #[test]
-    fn healthy_chaos_options_match_plain_run() {
+    fn zero_intensity_faults_and_default_admission_match_plain_run() {
         let mix = mini_mix();
         let mut db1 = mini_db();
         let plain = ExperimentSpec::for_config(StandardConfig::PhpColocated)
@@ -878,7 +873,8 @@ mod tests {
         let chaos = ExperimentSpec::for_config(StandardConfig::PhpColocated)
             .mix(&mix)
             .workload(quick(10))
-            .chaos(crate::fault::ChaosOptions::default())
+            .faults(FaultSpec::at_intensity(13, 0.0))
+            .admission(AdmissionControl::default())
             .run(&mut db2, &MiniApp);
         assert_eq!(plain.events, chaos.events, "trivial chaos must not perturb the event stream");
         assert_eq!(plain.metrics.completed, chaos.metrics.completed);
@@ -926,13 +922,15 @@ mod tests {
         let mut db = mini_db();
         let r = ExperimentSpec::for_config(StandardConfig::PhpColocated)
             .mix(&mix)
-            .workload(quick(40))
-            .resilience(ResilienceConfig {
-                request_timeout: Some(SimDuration::from_secs(5)),
-                max_retries: 0,
-                backoff_base: SimDuration::from_millis(100),
-                backoff_cap: SimDuration::from_secs(1),
-                retry_budget: None,
+            .workload(WorkloadConfig {
+                resilience: ResilienceConfig {
+                    request_timeout: Some(SimDuration::from_secs(5)),
+                    max_retries: 0,
+                    backoff_base: SimDuration::from_millis(100),
+                    backoff_cap: SimDuration::from_secs(1),
+                    retry_budget: None,
+                },
+                ..quick(40)
             })
             .admission(AdmissionControl {
                 web_accept_queue: None,
@@ -1033,8 +1031,7 @@ mod tests {
         let mut db = mini_db();
         let r = ExperimentSpec::for_config(StandardConfig::ServletDedicated)
             .mix(&mix)
-            .workload(quick(20))
-            .resilience(retrying())
+            .workload(WorkloadConfig { resilience: retrying(), ..quick(20) })
             .replication(test_policy(2))
             .kill_primary(SimDuration::from_secs(4), SimDuration::from_secs(6))
             .run(&mut db, &MiniApp);
@@ -1066,8 +1063,7 @@ mod tests {
             let mut db = mini_db();
             let mut spec = ExperimentSpec::for_config(StandardConfig::ServletDedicated)
                 .mix(&mix)
-                .workload(quick(20))
-                .resilience(retrying())
+                .workload(WorkloadConfig { resilience: retrying(), ..quick(20) })
                 .kill_primary(SimDuration::from_secs(4), SimDuration::from_secs(6));
             if replicas > 0 {
                 spec = spec.replication(test_policy(replicas));
@@ -1091,8 +1087,7 @@ mod tests {
             let mut db = mini_db();
             ExperimentSpec::for_config(StandardConfig::ServletDedicated)
                 .mix(&mix)
-                .workload(quick(20))
-                .resilience(retrying())
+                .workload(WorkloadConfig { resilience: retrying(), ..quick(20) })
                 .faults(FaultSpec::at_intensity(13, 0.4))
                 .replication(test_policy(2))
                 .kill_primary(SimDuration::from_secs(4), SimDuration::from_secs(6))
@@ -1115,8 +1110,7 @@ mod tests {
         let mut db = mini_db();
         let r = ExperimentSpec::for_config(StandardConfig::ServletDedicated)
             .mix(&mix)
-            .workload(quick(15))
-            .resilience(retrying())
+            .workload(WorkloadConfig { resilience: retrying(), ..quick(15) })
             .replication(test_policy(2))
             .kill_primary(SimDuration::from_secs(4), SimDuration::from_secs(6))
             .tracing(true)

@@ -13,7 +13,6 @@
 //! budget. Both default to fully disabled, leaving the healthy-path
 //! experiments bit-identical to the paper reproduction.
 
-use dynamid_core::AdmissionControl;
 use dynamid_sim::{CrashWindow, Degradation, FaultPlan, MachineId, SimDuration, SimRng, SimTime};
 
 /// A token bucket capping retries as a fraction of fresh requests. Each
@@ -243,18 +242,6 @@ impl FaultSpec {
         }
         plan
     }
-}
-
-/// Everything an experiment needs to run under faults: the fault spec and
-/// the server-side admission limits. (Client-side resilience lives on
-/// [`WorkloadConfig`](crate::WorkloadConfig).) The default injects nothing
-/// and limits nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ChaosOptions {
-    /// Faults to compile and install, when any.
-    pub faults: Option<FaultSpec>,
-    /// Server-side admission limits.
-    pub admission: AdmissionControl,
 }
 
 #[cfg(test)]

@@ -14,8 +14,8 @@ echo "== tier-1: cargo build --release && cargo test"
 cargo build --release
 cargo test -q
 
-echo "== workspace tests"
-cargo test -q --workspace
+echo "== workspace tests (the root package already ran above)"
+cargo test -q --workspace --exclude dynamid
 
 echo "== perf + chaos smoke (writes BENCH_repro.json)"
 cargo run --release -q -p dynamid-harness --bin repro -- --smoke --chaos
