@@ -2,7 +2,7 @@
 //! deployment configuration with balanced traces and real database effect.
 
 use dynamid_auction::{build_db, Auction, AuctionScale, INTERACTIONS};
-use dynamid_core::{CostModel, Middleware, SessionData, StandardConfig};
+use dynamid_core::{Middleware, SessionData, StandardConfig};
 use dynamid_sim::engine::NullDriver;
 use dynamid_sim::{SimDuration, SimRng, SimTime, Simulation};
 
@@ -13,7 +13,7 @@ fn every_interaction_in_every_config() {
     for config in StandardConfig::ALL {
         let mut db = build_db(&scale, 41).unwrap();
         let mut sim = Simulation::new(SimDuration::from_micros(100));
-        let mw = Middleware::install(&mut sim, config, &db, &app, CostModel::default());
+        let mw = Middleware::install(&mut sim, config, &db, &app);
         let mut session = SessionData::new(0);
         let mut rng = SimRng::new(7);
         for (id, spec) in INTERACTIONS.iter().enumerate() {
@@ -49,7 +49,7 @@ fn store_bid_updates_denormalized_summary() {
     ] {
         let mut db = build_db(&scale, 5).unwrap();
         let mut sim = Simulation::new(SimDuration::from_micros(100));
-        let mw = Middleware::install(&mut sim, config, &db, &app, CostModel::default());
+        let mw = Middleware::install(&mut sim, config, &db, &app);
         let bids_before = db.table("bids").unwrap().row_count();
         let mut session = SessionData::new(0);
         let mut rng = SimRng::new(13);
@@ -81,13 +81,7 @@ fn register_user_and_item_grow_tables() {
     let app = Auction::new(scale);
     let mut db = build_db(&scale, 6).unwrap();
     let mut sim = Simulation::new(SimDuration::from_micros(100));
-    let mw = Middleware::install(
-        &mut sim,
-        StandardConfig::ServletColocated,
-        &db,
-        &app,
-        CostModel::default(),
-    );
+    let mw = Middleware::install(&mut sim, StandardConfig::ServletColocated, &db, &app);
     let users0 = db.table("users").unwrap().row_count();
     let items0 = db.table("items").unwrap().row_count();
     let mut session = SessionData::new(3);
@@ -110,7 +104,7 @@ fn ejb_issues_many_more_queries_than_sql() {
     let count = |config: StandardConfig| -> u64 {
         let mut db = build_db(&scale, 9).unwrap();
         let mut sim = Simulation::new(SimDuration::from_micros(100));
-        let mw = Middleware::install(&mut sim, config, &db, &app, CostModel::default());
+        let mw = Middleware::install(&mut sim, config, &db, &app);
         let mut session = SessionData::new(0);
         let mut rng = SimRng::new(3);
         let mut total = 0;
@@ -132,13 +126,7 @@ fn comment_changes_target_rating() {
     let app = Auction::new(scale);
     let mut db = build_db(&scale, 31).unwrap();
     let mut sim = Simulation::new(SimDuration::from_micros(100));
-    let mw = Middleware::install(
-        &mut sim,
-        StandardConfig::PhpColocated,
-        &db,
-        &app,
-        CostModel::default(),
-    );
+    let mw = Middleware::install(&mut sim, StandardConfig::PhpColocated, &db, &app);
     let before = db.table("comments").unwrap().row_count();
     let mut session = SessionData::new(0);
     let mut rng = SimRng::new(55);

@@ -4,7 +4,7 @@
 //! Figure 11's.
 
 use dynamid_bboard::{build_db, BboardScale, BulletinBoard, INTERACTIONS};
-use dynamid_core::{CostModel, Middleware, SessionData, StandardConfig};
+use dynamid_core::{Middleware, SessionData, StandardConfig};
 use dynamid_sim::engine::NullDriver;
 use dynamid_sim::{SimDuration, SimRng, SimTime, Simulation};
 use dynamid_workload::{ExperimentSpec, WorkloadConfig};
@@ -16,7 +16,7 @@ fn every_interaction_in_every_config() {
     for config in StandardConfig::ALL {
         let mut db = build_db(&scale, 4).unwrap();
         let mut sim = Simulation::new(SimDuration::from_micros(100));
-        let mw = Middleware::install(&mut sim, config, &db, &app, CostModel::default());
+        let mw = Middleware::install(&mut sim, config, &db, &app);
         let mut session = SessionData::new(0);
         let mut rng = SimRng::new(8);
         for (id, spec) in INTERACTIONS.iter().enumerate() {
@@ -39,8 +39,7 @@ fn writes_change_the_database() {
     let app = BulletinBoard::new(scale);
     let mut db = build_db(&scale, 4).unwrap();
     let mut sim = Simulation::new(SimDuration::from_micros(100));
-    let mw =
-        Middleware::install(&mut sim, StandardConfig::EjbFourTier, &db, &app, CostModel::default());
+    let mw = Middleware::install(&mut sim, StandardConfig::EjbFourTier, &db, &app);
     let stories0 = db.table("stories").unwrap().row_count();
     let comments0 = db.table("comments").unwrap().row_count();
     let mut session = SessionData::new(0);

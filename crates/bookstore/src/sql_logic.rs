@@ -461,7 +461,9 @@ fn buy_confirm(
                         Value::str("OK"),
                     ],
                 )?;
-                // TPC-W restocks when stock would fall below zero.
+                // Decrement stock unconditionally. TPC-W would restock an
+                // item whose stock falls below a threshold; this model does
+                // not, so stock can go negative.
                 ctx.query(
                     "UPDATE items SET stock = stock - ? WHERE id = ?",
                     &[Value::Int(*qty), Value::Int(*item)],

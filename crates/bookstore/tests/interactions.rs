@@ -3,7 +3,7 @@
 //! the database.
 
 use dynamid_bookstore::{build_db, Bookstore, BookstoreScale, INTERACTIONS};
-use dynamid_core::{CostModel, Middleware, SessionData, StandardConfig};
+use dynamid_core::{Middleware, SessionData, StandardConfig};
 use dynamid_sim::engine::NullDriver;
 use dynamid_sim::{SimDuration, SimRng, SimTime, Simulation};
 
@@ -14,7 +14,7 @@ fn every_interaction_in_every_config() {
     for config in StandardConfig::ALL {
         let mut db = build_db(&scale, 11).unwrap();
         let mut sim = Simulation::new(SimDuration::from_micros(100));
-        let mw = Middleware::install(&mut sim, config, &db, &app, CostModel::default());
+        let mw = Middleware::install(&mut sim, config, &db, &app);
         let mut session = SessionData::new(0);
         let mut rng = SimRng::new(99);
         for (id, spec) in INTERACTIONS.iter().enumerate() {
@@ -54,7 +54,7 @@ fn buy_confirm_really_places_orders() {
     ] {
         let mut db = build_db(&scale, 5).unwrap();
         let mut sim = Simulation::new(SimDuration::from_micros(100));
-        let mw = Middleware::install(&mut sim, config, &db, &app, CostModel::default());
+        let mw = Middleware::install(&mut sim, config, &db, &app);
         let before = db.table("orders").unwrap().row_count();
         let mut session = SessionData::new(1);
         let mut rng = SimRng::new(17);
@@ -78,13 +78,7 @@ fn registration_grows_customers() {
     let app = Bookstore::new(scale);
     let mut db = build_db(&scale, 6).unwrap();
     let mut sim = Simulation::new(SimDuration::from_micros(100));
-    let mw = Middleware::install(
-        &mut sim,
-        StandardConfig::ServletDedicated,
-        &db,
-        &app,
-        CostModel::default(),
-    );
+    let mw = Middleware::install(&mut sim, StandardConfig::ServletDedicated, &db, &app);
     let before = db.table("customers").unwrap().row_count();
     let mut grew = false;
     for client in 0..10 {
@@ -107,7 +101,7 @@ fn ejb_issues_many_more_queries_than_sql() {
     let count_queries = |config: StandardConfig| -> u64 {
         let mut db = build_db(&scale, 21).unwrap();
         let mut sim = Simulation::new(SimDuration::from_micros(100));
-        let mw = Middleware::install(&mut sim, config, &db, &app, CostModel::default());
+        let mw = Middleware::install(&mut sim, config, &db, &app);
         let mut session = SessionData::new(0);
         let mut rng = SimRng::new(4);
         let mut total = 0;
@@ -132,7 +126,7 @@ fn sync_and_nonsync_issue_same_data_queries() {
     let run = |config: StandardConfig| -> (u64, usize) {
         let mut db = build_db(&scale, 33).unwrap();
         let mut sim = Simulation::new(SimDuration::from_micros(100));
-        let mw = Middleware::install(&mut sim, config, &db, &app, CostModel::default());
+        let mw = Middleware::install(&mut sim, config, &db, &app);
         let mut session = SessionData::new(0);
         let mut rng = SimRng::new(8);
         let mut queries = 0;

@@ -18,7 +18,7 @@
 
 use crate::app::{AppError, AppResult, LogicStyle};
 use crate::cost::{CostModel, GeneratorCosts};
-use crate::deploy::{Architecture, Deployment};
+use crate::deploy::{Deployment, LogicPlacement};
 use dynamid_http::{StaticAsset, Status};
 use dynamid_sim::{LockId, LockMode, MachineId, Op, Trace};
 use dynamid_sqldb::ast::TableLockKind;
@@ -206,11 +206,13 @@ impl<'a> RequestCtx<'a> {
 
     /// The generator cost profile for the current architecture/tier.
     pub(crate) fn gen_costs(&self) -> &GeneratorCosts {
-        match self.deployment.config().architecture() {
-            Architecture::Php => &self.costs.php,
+        match self.deployment.config().logic() {
+            LogicPlacement::WebProcess { .. } => &self.costs.php,
             // The servlet container and the EJB server both use the
             // interpreted JDBC driver.
-            Architecture::Servlet { .. } | Architecture::Ejb => &self.costs.servlet,
+            LogicPlacement::ColocatedContainer { .. }
+            | LogicPlacement::DedicatedContainer { .. }
+            | LogicPlacement::EntityBeans => &self.costs.servlet,
         }
     }
 

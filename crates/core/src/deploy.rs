@@ -1,15 +1,13 @@
-//! Deployment topologies: the paper's six configurations plus the
-//! front-ended extensions (C7–C9), described declaratively and installed
-//! into a simulation.
+//! Deployments: the paper's six configurations plus the sync-PHP (C1s) and
+//! front-ended (C7–C9) extensions, installed into a simulation.
 //!
-//! A [`Topology`] says *what* a deployment looks like — front-end role,
-//! web-server count, logic placement — independent of the machine ids and
-//! lock/semaphore identities a concrete installation produces. The
-//! [`StandardConfig`] enum is now a set of canned presets over this model:
-//! [`StandardConfig::topology`] returns the declarative description and
-//! [`Deployment::install`] consumes it. The preset path installs a
-//! machine/lock/semaphore layout bit-identical to the historical
-//! per-config match arms, so every golden result is preserved.
+//! [`StandardConfig`] is the one deployment description. Each preset
+//! answers its own shape along three axes — [`front`](StandardConfig::front),
+//! [`web_servers`](StandardConfig::web_servers) and
+//! [`logic`](StandardConfig::logic) — and [`Deployment::install`] turns the
+//! shape into machines, locks and semaphores. For C1–C6 the layout is
+//! bit-identical to the historical per-config match arms, so every golden
+//! result is preserved.
 
 use crate::app::{AppLockSpec, Application, LogicStyle};
 use dynamid_sim::{LockId, MachineId, SemaphoreId, Simulation};
@@ -27,21 +25,6 @@ pub const CLIENT_CORES: f64 = 4096.0;
 /// Aggregate client-side NIC capacity (never limiting).
 pub const CLIENT_NIC_MBPS: f64 = 100_000.0;
 
-/// The dynamic-content architecture a deployment uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Architecture {
-    /// Scripts in the web-server process (PHP).
-    Php,
-    /// Out-of-process servlet container; `sync` moves table locking into
-    /// the container.
-    Servlet {
-        /// Container-level locking replaces SQL `LOCK TABLES`.
-        sync: bool,
-    },
-    /// Servlet presentation + EJB session façades + entity beans.
-    Ejb,
-}
-
 /// How a load-balancing front end picks the web server for a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutingPolicy {
@@ -53,17 +36,14 @@ pub enum RoutingPolicy {
 }
 
 /// The machine in front of the web tier, if any.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrontEnd {
     /// Clients talk to the web server directly (C1–C6).
     None,
-    /// A reverse proxy relays every request and response and serves a
-    /// fraction of static-asset requests from its own cache.
-    ReverseProxy {
-        /// Fraction of static-asset requests served from the proxy cache
-        /// without touching a web server, in `[0, 1]`.
-        static_hit_ratio: f64,
-    },
+    /// A reverse proxy relays every request and response and serves
+    /// [`PROXY_STATIC_HIT_RATIO`] of static-asset requests from its own
+    /// cache.
+    ReverseProxy,
     /// A layer-4 load balancer spreads requests over the web farm.
     /// Responses use direct server return: only request bytes cross the
     /// balancer, so its NIC carries a small fraction of the traffic.
@@ -78,7 +58,7 @@ impl FrontEnd {
     pub fn machine_name(&self) -> Option<&'static str> {
         match self {
             FrontEnd::None => None,
-            FrontEnd::ReverseProxy { .. } => Some("proxy"),
+            FrontEnd::ReverseProxy => Some("proxy"),
             FrontEnd::LoadBalancer { .. } => Some("lb"),
         }
     }
@@ -108,201 +88,11 @@ pub enum LogicPlacement {
     EntityBeans,
 }
 
-/// A declarative deployment description: what tiers exist and how many
-/// machines each gets. Build one with [`TopologyBuilder`] or take a canned
-/// preset from [`StandardConfig::topology`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Topology {
-    front: FrontEnd,
-    web_servers: usize,
-    logic: LogicPlacement,
-}
-
-impl Topology {
-    /// Starts a builder with the C1 shape: no front end, one web server,
-    /// PHP in-process logic.
-    pub fn builder() -> TopologyBuilder {
-        TopologyBuilder::new()
-    }
-
-    /// The front-end role.
-    pub fn front(&self) -> FrontEnd {
-        self.front
-    }
-
-    /// Number of web-server machines.
-    pub fn web_servers(&self) -> usize {
-        self.web_servers
-    }
-
-    /// Where the dynamic-content logic runs.
-    pub fn logic(&self) -> LogicPlacement {
-        self.logic
-    }
-
-    /// The architecture implied by the logic placement.
-    pub fn architecture(&self) -> Architecture {
-        match self.logic {
-            LogicPlacement::WebProcess { .. } => Architecture::Php,
-            LogicPlacement::ColocatedContainer { sync }
-            | LogicPlacement::DedicatedContainer { sync } => Architecture::Servlet { sync },
-            LogicPlacement::EntityBeans => Architecture::Ejb,
-        }
-    }
-
-    /// The implementation style handlers run under.
-    pub fn logic_style(&self) -> LogicStyle {
-        match self.logic {
-            LogicPlacement::WebProcess { sync }
-            | LogicPlacement::ColocatedContainer { sync }
-            | LogicPlacement::DedicatedContainer { sync } => LogicStyle::ExplicitSql { sync },
-            LogicPlacement::EntityBeans => LogicStyle::EntityBean,
-        }
-    }
-
-    /// `true` when a front-end machine sits before the web tier.
-    pub fn has_front(&self) -> bool {
-        !matches!(self.front, FrontEnd::None)
-    }
-
-    /// `true` when the servlet container runs on its own machine.
-    pub fn has_dedicated_container(&self) -> bool {
-        matches!(
-            self.logic,
-            LogicPlacement::DedicatedContainer { .. } | LogicPlacement::EntityBeans
-        )
-    }
-
-    /// `true` when an EJB tier exists.
-    pub fn has_ejb_tier(&self) -> bool {
-        matches!(self.logic, LogicPlacement::EntityBeans)
-    }
-
-    /// Number of server machines (everything except the client farm).
-    pub fn server_machines(&self) -> usize {
-        let front = usize::from(self.has_front());
-        let container = usize::from(self.has_dedicated_container());
-        let ejb = usize::from(self.has_ejb_tier());
-        front + self.web_servers + container + ejb + 1 // + db
-    }
-
-    /// ASCII tier diagram, front to back (`lb -> web x2 -> db`).
-    pub fn diagram(&self) -> String {
-        let mut parts: Vec<String> = Vec::new();
-        if let Some(name) = self.front.machine_name() {
-            parts.push(name.to_string());
-        }
-        if self.web_servers == 1 {
-            parts.push("web".to_string());
-        } else {
-            parts.push(format!("web x{}", self.web_servers));
-        }
-        if self.has_dedicated_container() {
-            parts.push("servlet".to_string());
-        }
-        if self.has_ejb_tier() {
-            parts.push("ejb".to_string());
-        }
-        parts.push("db".to_string());
-        parts.join(" -> ")
-    }
-}
-
-/// Builder for [`Topology`] with shape validation at
-/// [`build`](TopologyBuilder::build) time.
-///
-/// ```
-/// use dynamid_core::{FrontEnd, LogicPlacement, RoutingPolicy, Topology};
-///
-/// let farm = Topology::builder()
-///     .front(FrontEnd::LoadBalancer { routing: RoutingPolicy::RoundRobin })
-///     .web_servers(2)
-///     .logic(LogicPlacement::WebProcess { sync: false })
-///     .build()
-///     .unwrap();
-/// assert_eq!(farm.server_machines(), 4); // lb + 2 web + db
-/// ```
-#[derive(Debug, Clone)]
-pub struct TopologyBuilder {
-    front: FrontEnd,
-    web_servers: usize,
-    logic: LogicPlacement,
-}
-
-impl Default for TopologyBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TopologyBuilder {
-    /// A C1-shaped starting point: no front end, one web server, PHP.
-    pub fn new() -> TopologyBuilder {
-        TopologyBuilder {
-            front: FrontEnd::None,
-            web_servers: 1,
-            logic: LogicPlacement::WebProcess { sync: false },
-        }
-    }
-
-    /// Sets the front-end role.
-    pub fn front(mut self, front: FrontEnd) -> Self {
-        self.front = front;
-        self
-    }
-
-    /// Sets the number of web-server machines.
-    pub fn web_servers(mut self, n: usize) -> Self {
-        self.web_servers = n;
-        self
-    }
-
-    /// Sets the logic placement.
-    pub fn logic(mut self, logic: LogicPlacement) -> Self {
-        self.logic = logic;
-        self
-    }
-
-    /// Validates the shape and produces the topology.
-    ///
-    /// Rejected shapes: zero web servers; more than one web server without
-    /// a load balancer to spread requests over them; a colocated container
-    /// or entity beans behind a web farm (the container shares or fronts
-    /// exactly one web machine); a static-cache hit ratio outside `[0, 1]`.
-    pub fn build(self) -> Result<Topology, String> {
-        if self.web_servers == 0 {
-            return Err("topology needs at least one web server".to_string());
-        }
-        if self.web_servers > 1 && !matches!(self.front, FrontEnd::LoadBalancer { .. }) {
-            return Err(format!(
-                "{} web servers need a load-balancer front end to route requests",
-                self.web_servers
-            ));
-        }
-        if self.web_servers > 1
-            && matches!(
-                self.logic,
-                LogicPlacement::ColocatedContainer { .. } | LogicPlacement::EntityBeans
-            )
-        {
-            return Err(
-                "a web farm requires in-process logic or one dedicated container".to_string()
-            );
-        }
-        if let FrontEnd::ReverseProxy { static_hit_ratio } = self.front {
-            if !(0.0..=1.0).contains(&static_hit_ratio) {
-                return Err(format!("static_hit_ratio {static_hit_ratio} outside [0, 1]"));
-            }
-        }
-        Ok(Topology { front: self.front, web_servers: self.web_servers, logic: self.logic })
-    }
-}
-
-/// Static-cache hit ratio of the C7 reverse-proxy preset. Apache's
-/// `mod_proxy` in front of a mostly-static asset set typically serves the
-/// vast majority of asset requests from cache.
+/// Fraction of static-asset requests the C7 reverse proxy serves from its
+/// cache without touching a web server. Apache's `mod_proxy` in front of a
+/// mostly-static asset set typically serves the vast majority of asset
+/// requests from cache.
 pub const PROXY_STATIC_HIT_RATIO: f64 = 0.85;
-
 /// The paper's six configurations (Figure 4) plus the front-ended
 /// extensions C7–C9.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -413,53 +203,83 @@ impl StandardConfig {
             .find(|c| c.code().eq_ignore_ascii_case(key) || c.paper_name() == key)
     }
 
-    /// The declarative topology this configuration is a preset of.
-    pub fn topology(self) -> Topology {
-        let b = Topology::builder();
-        let b = match self {
-            StandardConfig::PhpColocated => b.logic(LogicPlacement::WebProcess { sync: false }),
-            StandardConfig::PhpColocatedSync => b.logic(LogicPlacement::WebProcess { sync: true }),
-            StandardConfig::ServletColocated => {
-                b.logic(LogicPlacement::ColocatedContainer { sync: false })
+    /// The machine in front of the web tier.
+    pub fn front(self) -> FrontEnd {
+        match self {
+            StandardConfig::PhpColocated
+            | StandardConfig::ServletColocated
+            | StandardConfig::ServletColocatedSync
+            | StandardConfig::ServletDedicated
+            | StandardConfig::ServletDedicatedSync
+            | StandardConfig::EjbFourTier
+            | StandardConfig::PhpColocatedSync => FrontEnd::None,
+            StandardConfig::ProxyCached => FrontEnd::ReverseProxy,
+            StandardConfig::WebFarm => {
+                FrontEnd::LoadBalancer { routing: RoutingPolicy::RoundRobin }
             }
-            StandardConfig::ServletColocatedSync => {
-                b.logic(LogicPlacement::ColocatedContainer { sync: true })
+            StandardConfig::TieredFarm => {
+                FrontEnd::LoadBalancer { routing: RoutingPolicy::LeastConnections }
             }
-            StandardConfig::ServletDedicated => {
-                b.logic(LogicPlacement::DedicatedContainer { sync: false })
-            }
-            StandardConfig::ServletDedicatedSync => {
-                b.logic(LogicPlacement::DedicatedContainer { sync: true })
-            }
-            StandardConfig::EjbFourTier => b.logic(LogicPlacement::EntityBeans),
-            StandardConfig::ProxyCached => b
-                .front(FrontEnd::ReverseProxy { static_hit_ratio: PROXY_STATIC_HIT_RATIO })
-                .logic(LogicPlacement::WebProcess { sync: false }),
-            StandardConfig::WebFarm => b
-                .front(FrontEnd::LoadBalancer { routing: RoutingPolicy::RoundRobin })
-                .web_servers(2)
-                .logic(LogicPlacement::WebProcess { sync: false }),
-            StandardConfig::TieredFarm => b
-                .front(FrontEnd::LoadBalancer { routing: RoutingPolicy::LeastConnections })
-                .web_servers(2)
-                .logic(LogicPlacement::DedicatedContainer { sync: false }),
-        };
-        b.build().expect("standard presets are valid topologies")
+        }
     }
 
-    /// The architecture this configuration runs.
-    pub fn architecture(self) -> Architecture {
-        self.topology().architecture()
+    /// Number of web-server machines: two behind a load balancer, else one.
+    pub fn web_servers(self) -> usize {
+        match self {
+            StandardConfig::PhpColocated
+            | StandardConfig::ServletColocated
+            | StandardConfig::ServletColocatedSync
+            | StandardConfig::ServletDedicated
+            | StandardConfig::ServletDedicatedSync
+            | StandardConfig::EjbFourTier
+            | StandardConfig::PhpColocatedSync
+            | StandardConfig::ProxyCached => 1,
+            StandardConfig::WebFarm | StandardConfig::TieredFarm => 2,
+        }
+    }
+
+    /// Where the dynamic-content logic runs.
+    pub fn logic(self) -> LogicPlacement {
+        match self {
+            StandardConfig::PhpColocated
+            | StandardConfig::ProxyCached
+            | StandardConfig::WebFarm => LogicPlacement::WebProcess { sync: false },
+            StandardConfig::PhpColocatedSync => LogicPlacement::WebProcess { sync: true },
+            StandardConfig::ServletColocated => LogicPlacement::ColocatedContainer { sync: false },
+            StandardConfig::ServletColocatedSync => {
+                LogicPlacement::ColocatedContainer { sync: true }
+            }
+            StandardConfig::ServletDedicated | StandardConfig::TieredFarm => {
+                LogicPlacement::DedicatedContainer { sync: false }
+            }
+            StandardConfig::ServletDedicatedSync => {
+                LogicPlacement::DedicatedContainer { sync: true }
+            }
+            StandardConfig::EjbFourTier => LogicPlacement::EntityBeans,
+        }
     }
 
     /// The implementation style handlers run under.
     pub fn logic_style(self) -> LogicStyle {
-        self.topology().logic_style()
+        match self.logic() {
+            LogicPlacement::WebProcess { sync }
+            | LogicPlacement::ColocatedContainer { sync }
+            | LogicPlacement::DedicatedContainer { sync } => LogicStyle::ExplicitSql { sync },
+            LogicPlacement::EntityBeans => LogicStyle::EntityBean,
+        }
     }
 
-    /// Number of server machines (excluding clients).
-    pub fn server_machines(self) -> usize {
-        self.topology().server_machines()
+    /// `true` when the servlet container runs on its own machine.
+    pub fn has_dedicated_container(self) -> bool {
+        matches!(
+            self.logic(),
+            LogicPlacement::DedicatedContainer { .. } | LogicPlacement::EntityBeans
+        )
+    }
+
+    /// `true` when an EJB tier exists.
+    pub fn has_ejb_tier(self) -> bool {
+        self.logic() == LogicPlacement::EntityBeans
     }
 }
 
@@ -505,9 +325,8 @@ impl AdmissionControl {
 #[derive(Debug)]
 pub struct Deployment {
     config: StandardConfig,
-    topology: Topology,
     client: MachineId,
-    /// Front-end machine (proxy or balancer), when the topology has one.
+    /// Front-end machine (proxy or balancer), when the config has one.
     front: Option<MachineId>,
     /// Web-server machines in route order.
     webs: Vec<MachineId>,
@@ -553,7 +372,7 @@ impl Deployment {
     /// container, the EJB server, the database, the replicas. For the
     /// front-end-less single-web presets this is exactly the historical
     /// per-config order, so C1–C6 installs are bit-identical to the
-    /// pre-topology code path.
+    /// original layout.
     pub(crate) fn install_replicated(
         sim: &mut Simulation,
         config: StandardConfig,
@@ -563,29 +382,27 @@ impl Deployment {
         admission: AdmissionControl,
         replica_count: usize,
     ) -> Deployment {
-        let topology = config.topology();
         let client = sim.add_machine("clients", CLIENT_CORES, CLIENT_NIC_MBPS);
-        let front = topology
+        let front = config
             .front()
             .machine_name()
             .map(|name| sim.add_machine(name, MACHINE_CORES, MACHINE_NIC_MBPS));
-        let webs: Vec<MachineId> = if topology.web_servers() == 1 {
+        let webs: Vec<MachineId> = if config.web_servers() == 1 {
             vec![sim.add_machine("web", MACHINE_CORES, MACHINE_NIC_MBPS)]
         } else {
-            (1..=topology.web_servers())
+            (1..=config.web_servers())
                 .map(|i| sim.add_machine(format!("web-{i}"), MACHINE_CORES, MACHINE_NIC_MBPS))
                 .collect()
         };
-        let servlet = match topology.logic() {
+        let servlet = match config.logic() {
             LogicPlacement::WebProcess { .. } => None,
             LogicPlacement::ColocatedContainer { .. } => Some(webs[0]),
             LogicPlacement::DedicatedContainer { .. } | LogicPlacement::EntityBeans => {
                 Some(sim.add_machine("servlet", MACHINE_CORES, MACHINE_NIC_MBPS))
             }
         };
-        let ejb = topology
-            .has_ejb_tier()
-            .then(|| sim.add_machine("ejb", MACHINE_CORES, MACHINE_NIC_MBPS));
+        let ejb =
+            config.has_ejb_tier().then(|| sim.add_machine("ejb", MACHINE_CORES, MACHINE_NIC_MBPS));
         let db_machine = sim.add_machine("db", MACHINE_CORES, MACHINE_NIC_MBPS);
         let replicas: Vec<MachineId> = (1..=replica_count)
             .map(|i| sim.add_machine(format!("db-r{i}"), MACHINE_CORES, MACHINE_NIC_MBPS))
@@ -622,7 +439,6 @@ impl Deployment {
 
         Deployment {
             config,
-            topology,
             client,
             front,
             webs,
@@ -642,18 +458,13 @@ impl Deployment {
         self.config
     }
 
-    /// The declarative topology this deployment instantiates.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
     /// The client-farm machine.
     pub fn client(&self) -> MachineId {
         self.client
     }
 
     /// The front-end machine (reverse proxy or load balancer), when the
-    /// topology has one.
+    /// config has one.
     pub fn front_machine(&self) -> Option<MachineId> {
         self.front
     }
@@ -810,96 +621,51 @@ mod tests {
         assert_eq!(StandardConfig::parse("C0"), None);
     }
 
+    /// Every preset along the three shape axes, its handler style, and the
+    /// machines it installs, in id order.
     #[test]
-    fn architectures_and_styles() {
-        assert_eq!(StandardConfig::PhpColocated.architecture(), Architecture::Php);
-        assert_eq!(
-            StandardConfig::ServletColocatedSync.architecture(),
-            Architecture::Servlet { sync: true }
-        );
-        assert!(StandardConfig::ServletDedicatedSync.logic_style().is_sync());
-        assert_eq!(StandardConfig::EjbFourTier.logic_style(), LogicStyle::EntityBean);
-        assert_eq!(StandardConfig::ProxyCached.architecture(), Architecture::Php);
-        assert_eq!(StandardConfig::WebFarm.architecture(), Architecture::Php);
-        assert_eq!(
-            StandardConfig::TieredFarm.architecture(),
-            Architecture::Servlet { sync: false }
-        );
-    }
+    fn presets_describe_their_shape_and_machines() {
+        use LogicPlacement::*;
+        use StandardConfig::*;
+        let none = FrontEnd::None;
+        let rr = FrontEnd::LoadBalancer { routing: RoutingPolicy::RoundRobin };
+        let lc = FrontEnd::LoadBalancer { routing: RoutingPolicy::LeastConnections };
+        let sql = |sync| LogicStyle::ExplicitSql { sync };
+        let web = &["clients", "web", "db"];
+        let servlet = &["clients", "web", "servlet", "db"];
+        let ejb = &["clients", "web", "servlet", "ejb", "db"];
+        let proxy = &["clients", "proxy", "web", "db"];
+        let farm = &["clients", "lb", "web-1", "web-2", "db"];
+        let tiered = &["clients", "lb", "web-1", "web-2", "servlet", "db"];
+        type Row =
+            (StandardConfig, FrontEnd, usize, LogicPlacement, LogicStyle, &'static [&'static str]);
+        let table: [Row; 10] = [
+            (PhpColocated, none, 1, WebProcess { sync: false }, sql(false), web),
+            (ServletColocated, none, 1, ColocatedContainer { sync: false }, sql(false), web),
+            (ServletColocatedSync, none, 1, ColocatedContainer { sync: true }, sql(true), web),
+            (ServletDedicated, none, 1, DedicatedContainer { sync: false }, sql(false), servlet),
+            (ServletDedicatedSync, none, 1, DedicatedContainer { sync: true }, sql(true), servlet),
+            (EjbFourTier, none, 1, EntityBeans, LogicStyle::EntityBean, ejb),
+            (PhpColocatedSync, none, 1, WebProcess { sync: true }, sql(true), web),
+            (ProxyCached, FrontEnd::ReverseProxy, 1, WebProcess { sync: false }, sql(false), proxy),
+            (WebFarm, rr, 2, WebProcess { sync: false }, sql(false), farm),
+            (TieredFarm, lc, 2, DedicatedContainer { sync: false }, sql(false), tiered),
+        ];
+        assert_eq!(table.map(|row| row.0), StandardConfig::EXTENDED);
+        for (config, front, webs, logic, style, machines) in table {
+            assert_eq!(config.front(), front, "{config}");
+            assert_eq!(config.web_servers(), webs, "{config}");
+            assert_eq!(config.logic(), logic, "{config}");
+            assert_eq!(config.logic_style(), style, "{config}");
+            assert_eq!(config.has_dedicated_container(), machines.contains(&"servlet"), "{config}");
+            assert_eq!(config.has_ejb_tier(), machines.contains(&"ejb"), "{config}");
 
-    #[test]
-    fn machine_counts() {
-        assert_eq!(StandardConfig::PhpColocated.server_machines(), 2);
-        assert_eq!(StandardConfig::ServletDedicated.server_machines(), 3);
-        assert_eq!(StandardConfig::EjbFourTier.server_machines(), 4);
-        assert_eq!(StandardConfig::ProxyCached.server_machines(), 3);
-        assert_eq!(StandardConfig::WebFarm.server_machines(), 4);
-        assert_eq!(StandardConfig::TieredFarm.server_machines(), 5);
-        assert!(!StandardConfig::ServletColocated.topology().has_dedicated_container());
-        assert!(StandardConfig::ServletDedicated.topology().has_dedicated_container());
-    }
-
-    #[test]
-    fn topology_presets_describe_the_paper_shapes() {
-        let c1 = StandardConfig::PhpColocated.topology();
-        assert_eq!(c1.front(), FrontEnd::None);
-        assert_eq!(c1.web_servers(), 1);
-        assert_eq!(c1.logic(), LogicPlacement::WebProcess { sync: false });
-        assert_eq!(c1.diagram(), "web -> db");
-
-        let c6 = StandardConfig::EjbFourTier.topology();
-        assert!(c6.has_ejb_tier() && c6.has_dedicated_container());
-        assert_eq!(c6.diagram(), "web -> servlet -> ejb -> db");
-
-        let c7 = StandardConfig::ProxyCached.topology();
-        assert_eq!(c7.front(), FrontEnd::ReverseProxy { static_hit_ratio: PROXY_STATIC_HIT_RATIO });
-        assert_eq!(c7.diagram(), "proxy -> web -> db");
-
-        let c8 = StandardConfig::WebFarm.topology();
-        assert_eq!(c8.front(), FrontEnd::LoadBalancer { routing: RoutingPolicy::RoundRobin });
-        assert_eq!(c8.web_servers(), 2);
-        assert_eq!(c8.diagram(), "lb -> web x2 -> db");
-
-        let c9 = StandardConfig::TieredFarm.topology();
-        assert_eq!(c9.front(), FrontEnd::LoadBalancer { routing: RoutingPolicy::LeastConnections });
-        assert_eq!(c9.diagram(), "lb -> web x2 -> servlet -> db");
-    }
-
-    #[test]
-    fn builder_rejects_invalid_shapes() {
-        assert!(Topology::builder().web_servers(0).build().is_err());
-        // A farm without a balancer has no way to route requests.
-        assert!(Topology::builder().web_servers(2).build().is_err());
-        assert!(Topology::builder()
-            .web_servers(3)
-            .front(FrontEnd::ReverseProxy { static_hit_ratio: 0.5 })
-            .build()
-            .is_err());
-        // A colocated container or entity beans cannot sit behind a farm.
-        assert!(Topology::builder()
-            .front(FrontEnd::LoadBalancer { routing: RoutingPolicy::RoundRobin })
-            .web_servers(2)
-            .logic(LogicPlacement::ColocatedContainer { sync: false })
-            .build()
-            .is_err());
-        assert!(Topology::builder()
-            .front(FrontEnd::LoadBalancer { routing: RoutingPolicy::RoundRobin })
-            .web_servers(2)
-            .logic(LogicPlacement::EntityBeans)
-            .build()
-            .is_err());
-        // Hit ratio outside [0, 1].
-        assert!(Topology::builder()
-            .front(FrontEnd::ReverseProxy { static_hit_ratio: 1.5 })
-            .build()
-            .is_err());
-        // The valid farm shapes build.
-        assert!(Topology::builder()
-            .front(FrontEnd::LoadBalancer { routing: RoutingPolicy::LeastConnections })
-            .web_servers(4)
-            .logic(LogicPlacement::DedicatedContainer { sync: true })
-            .build()
-            .is_ok());
+            let mut sim = Simulation::new(SimDuration::from_micros(100));
+            Deployment::install(&mut sim, config, &small_db(), &NoApp, 512);
+            let names: Vec<&str> =
+                (0..sim.machine_count() as u32).map(|i| sim.machine_name(MachineId(i))).collect();
+            assert_eq!(names, machines, "{config}");
+        }
     }
 
     #[test]

@@ -6,7 +6,8 @@ use crate::cache::{MethodCache, MethodCacheConfig, MethodCacheStats};
 use crate::cost::CostModel;
 use crate::ctx::{RequestCtx, RequestStats};
 use crate::deploy::{
-    AdmissionControl, Architecture, Deployment, FrontEnd, RoutingPolicy, StandardConfig,
+    AdmissionControl, Deployment, FrontEnd, LogicPlacement, RoutingPolicy, StandardConfig,
+    PROXY_STATIC_HIT_RATIO,
 };
 use crate::overload::{CircuitBreaker, OverloadControl};
 use crate::replication::{ReplicaPolicy, ReplicationState};
@@ -83,8 +84,6 @@ struct FrontEndState {
     /// In-flight requests per web server (balancer only; updated by
     /// `route` / `route_done`).
     inflight: Vec<u64>,
-    /// Proxy static-cache hit ratio (0.0 for a balancer).
-    static_hit_ratio: f64,
     /// Static-asset requests seen so far (drives the exact hit pattern).
     asset_seq: u64,
     routed: Vec<u64>,
@@ -94,16 +93,15 @@ struct FrontEndState {
 
 impl FrontEndState {
     fn new(front: FrontEnd, webs: usize) -> Option<FrontEndState> {
-        let (routing, static_hit_ratio) = match front {
+        let routing = match front {
             FrontEnd::None => return None,
-            FrontEnd::ReverseProxy { static_hit_ratio } => (None, static_hit_ratio),
-            FrontEnd::LoadBalancer { routing } => (Some(routing), 0.0),
+            FrontEnd::ReverseProxy => None,
+            FrontEnd::LoadBalancer { routing } => Some(routing),
         };
         Some(FrontEndState {
             routing,
             cursor: 0,
             inflight: vec![0; webs],
-            static_hit_ratio,
             asset_seq: 0,
             routed: vec![0; webs],
             static_hits: 0,
@@ -150,7 +148,7 @@ impl FrontEndState {
     /// the client random streams stay untouched.
     fn asset_hit(&mut self) -> bool {
         let n = self.asset_seq as f64;
-        let h = self.static_hit_ratio;
+        let h = PROXY_STATIC_HIT_RATIO;
         self.asset_seq += 1;
         let hit = ((n + 1.0) * h).floor() > (n * h).floor();
         if hit {
@@ -227,16 +225,15 @@ pub struct InstallOptions {
 }
 
 impl Middleware {
-    /// Installs `config` into the simulation and wires the cost model, with
-    /// admission control disabled (the paper's setup).
+    /// Installs `config` into the simulation under the default cost model,
+    /// with admission control disabled (the paper's setup).
     pub fn install(
         sim: &mut Simulation,
         config: StandardConfig,
         db: &Database,
         app: &dyn Application,
-        costs: CostModel,
     ) -> Middleware {
-        Self::install_opts(sim, config, db, app, costs, InstallOptions::default())
+        Self::install_opts(sim, config, db, app, InstallOptions::default())
     }
 
     /// Installs `config` with explicit [`InstallOptions`]: admission
@@ -248,9 +245,9 @@ impl Middleware {
         config: StandardConfig,
         db: &Database,
         app: &dyn Application,
-        costs: CostModel,
         opts: InstallOptions,
     ) -> Middleware {
+        let costs = CostModel::default();
         let web_processes = costs.web.max_processes;
         let deployment = Deployment::install_replicated(
             sim,
@@ -281,8 +278,7 @@ impl Middleware {
         });
         let breaker = opts.overload.breaker.map(|p| RefCell::new(CircuitBreaker::new(p)));
         let frontend =
-            FrontEndState::new(deployment.topology().front(), deployment.web_machines().len())
-                .map(RefCell::new);
+            FrontEndState::new(config.front(), deployment.web_machines().len()).map(RefCell::new);
         Middleware {
             deployment,
             costs,
@@ -302,11 +298,6 @@ impl Middleware {
     /// The installed deployment.
     pub fn deployment(&self) -> &Deployment {
         &self.deployment
-    }
-
-    /// The cost model in effect.
-    pub fn costs(&self) -> &CostModel {
-        &self.costs
     }
 
     /// The replicated DB tier's control plane, or `None` when installed
@@ -393,10 +384,15 @@ impl Middleware {
         let spec = app.interactions()[id];
         let config = self.deployment.config();
         let style = config.logic_style();
-        let arch = config.architecture();
+        let in_process = match config.logic() {
+            LogicPlacement::WebProcess { .. } => true,
+            LogicPlacement::ColocatedContainer { .. }
+            | LogicPlacement::DedicatedContainer { .. }
+            | LogicPlacement::EntityBeans => false,
+        };
         let web_costs = self.costs.web.costs;
         let fe_costs = self.costs.frontend;
-        let front_role = self.deployment.topology().front();
+        let front_role = config.front();
 
         // Route before compiling: the balancer pins the whole request —
         // dynamic page and trailing assets — to one web server, as a
@@ -427,7 +423,7 @@ impl Middleware {
             FrontEnd::None => {
                 ctx.push(Op::Net { from: client, to: web, bytes: req_bytes });
             }
-            FrontEnd::ReverseProxy { .. } => {
+            FrontEnd::ReverseProxy => {
                 // Application-level relay: the proxy terminates the client
                 // connection and copies the request through user space.
                 let proxy = self.deployment.front_machine().expect("proxy topology");
@@ -462,27 +458,21 @@ impl Middleware {
 
         // Connector crossing: web server -> generator.
         let generator = ctx.generator_machine;
-        match arch {
-            Architecture::Php => {
-                ctx.push(Op::Cpu {
-                    machine: web,
-                    micros: self.costs.php_connector.send_micros(req_bytes),
-                });
-                ctx.span_close(); // web-front (includes the in-process connector)
-            }
-            Architecture::Servlet { .. } | Architecture::Ejb => {
-                ctx.span_close(); // web-front
-                ctx.span_open(SpanKind::IpcHop, "ajp-request");
-                ctx.push(Op::Cpu { machine: web, micros: self.costs.ajp.send_micros(req_bytes) });
-                // Loopback when co-located (Net from==to is free; the CPU
-                // costs above/below model the local IPC).
-                ctx.push(Op::Net { from: web, to: generator, bytes: req_bytes });
-                ctx.push(Op::Cpu {
-                    machine: generator,
-                    micros: self.costs.ajp.recv_micros(req_bytes),
-                });
-                ctx.span_close(); // ajp-request
-            }
+        if in_process {
+            ctx.push(Op::Cpu {
+                machine: web,
+                micros: self.costs.php_connector.send_micros(req_bytes),
+            });
+            ctx.span_close(); // web-front (includes the in-process connector)
+        } else {
+            ctx.span_close(); // web-front
+            ctx.span_open(SpanKind::IpcHop, "ajp-request");
+            ctx.push(Op::Cpu { machine: web, micros: self.costs.ajp.send_micros(req_bytes) });
+            // Loopback when co-located (Net from==to is free; the CPU
+            // costs above/below model the local IPC).
+            ctx.push(Op::Net { from: web, to: generator, bytes: req_bytes });
+            ctx.push(Op::Cpu { machine: generator, micros: self.costs.ajp.recv_micros(req_bytes) });
+            ctx.span_close(); // ajp-request
         }
         ctx.span_open(SpanKind::Invoke, "handler");
         let gen_dispatch = ctx.gen_costs().per_request.round() as u64;
@@ -533,15 +523,12 @@ impl Middleware {
         let render = (ctx.gen_costs().per_output_byte * body as f64).round() as u64;
         ctx.push(Op::Cpu { machine: generator, micros: render });
 
-        match arch {
-            Architecture::Php => {}
-            Architecture::Servlet { .. } | Architecture::Ejb => {
-                ctx.span_open(SpanKind::IpcHop, "ajp-reply");
-                ctx.push(Op::Cpu { machine: generator, micros: self.costs.ajp.send_micros(body) });
-                ctx.push(Op::Net { from: generator, to: web, bytes: body });
-                ctx.push(Op::Cpu { machine: web, micros: self.costs.ajp.recv_micros(body) });
-                ctx.span_close(); // ajp-reply
-            }
+        if !in_process {
+            ctx.span_open(SpanKind::IpcHop, "ajp-reply");
+            ctx.push(Op::Cpu { machine: generator, micros: self.costs.ajp.send_micros(body) });
+            ctx.push(Op::Net { from: generator, to: web, bytes: body });
+            ctx.push(Op::Cpu { machine: web, micros: self.costs.ajp.recv_micros(body) });
+            ctx.span_close(); // ajp-reply
         }
         let wire = body + RESPONSE_OVERHEAD_BYTES;
         ctx.push(Op::Cpu {
@@ -554,7 +541,7 @@ impl Middleware {
             FrontEnd::None | FrontEnd::LoadBalancer { .. } => {
                 ctx.push(Op::Net { from: web, to: client, bytes: wire });
             }
-            FrontEnd::ReverseProxy { .. } => {
+            FrontEnd::ReverseProxy => {
                 let proxy = self.deployment.front_machine().expect("proxy topology");
                 ctx.push(Op::Net { from: web, to: proxy, bytes: wire });
                 ctx.span_open(SpanKind::FrontEnd, "proxy-relay");
@@ -585,7 +572,7 @@ impl Middleware {
                     });
                     ctx.push(Op::Net { from: web, to: client, bytes: asset_wire });
                 }
-                FrontEnd::ReverseProxy { .. } => {
+                FrontEnd::ReverseProxy => {
                     let proxy = self.deployment.front_machine().expect("proxy topology");
                     let fe = self.frontend.as_ref().expect("proxy front end installed");
                     let hit = fe.borrow_mut().asset_hit();
@@ -758,7 +745,7 @@ mod tests {
     fn run_config(config: StandardConfig) -> (Simulation, Database, Middleware) {
         let db = toy_db();
         let mut sim = Simulation::new(SimDuration::from_micros(100));
-        let mw = Middleware::install(&mut sim, config, &db, &ToyApp, CostModel::default());
+        let mw = Middleware::install(&mut sim, config, &db, &ToyApp);
         (sim, db, mw)
     }
 
@@ -905,13 +892,7 @@ mod tests {
         }
         let db = toy_db();
         let mut sim = Simulation::new(SimDuration::from_micros(100));
-        let mw = Middleware::install(
-            &mut sim,
-            StandardConfig::PhpColocated,
-            &db,
-            &FailApp,
-            CostModel::default(),
-        );
+        let mw = Middleware::install(&mut sim, StandardConfig::PhpColocated, &db, &FailApp);
         let mut db = db;
         let mut session = SessionData::new(0);
         let mut rng = SimRng::new(1);
@@ -939,7 +920,6 @@ mod tests {
             StandardConfig::PhpColocated,
             &db,
             &ToyApp,
-            CostModel::default(),
             InstallOptions {
                 admission: crate::deploy::AdmissionControl {
                     web_accept_queue: None,
@@ -999,7 +979,6 @@ mod tests {
                 config,
                 &db,
                 &ToyApp,
-                CostModel::default(),
                 InstallOptions { tracing: true, ..InstallOptions::default() },
             );
             assert!(mw.tracing());
@@ -1111,7 +1090,6 @@ mod tests {
             StandardConfig::EjbFourTier,
             &db,
             &CachedApp,
-            CostModel::default(),
             InstallOptions {
                 method_cache: Some(MethodCacheConfig { capacity: 16, invalidation }),
                 ..InstallOptions::default()
@@ -1216,13 +1194,7 @@ mod tests {
     fn facade_cached_without_cache_behaves_like_facade() {
         let db = toy_db();
         let mut sim = Simulation::new(SimDuration::from_micros(100));
-        let mw = Middleware::install(
-            &mut sim,
-            StandardConfig::EjbFourTier,
-            &db,
-            &CachedApp,
-            CostModel::default(),
-        );
+        let mw = Middleware::install(&mut sim, StandardConfig::EjbFourTier, &db, &CachedApp);
         assert!(mw.method_cache_stats().is_none());
         let mut db = db;
         let mut session = SessionData::new(0);
@@ -1376,7 +1348,6 @@ mod tests {
                 config,
                 &db,
                 &ToyApp,
-                CostModel::default(),
                 InstallOptions { tracing: true, ..InstallOptions::default() },
             );
             let mut db = db;

@@ -17,16 +17,10 @@
 
 use crate::audit::run_audited;
 use crate::figures::sweep_workload;
-use crate::{Benchmark, HarnessConfig};
+use crate::{Benchmark, HarnessConfig, FAMILY_CONFIGS};
 use dynamid_core::{AdmissionControl, StandardConfig};
 use dynamid_sim::{ErrorCounters, SimDuration};
 use dynamid_workload::{ExperimentSpec, FaultSpec, Mix, ResilienceConfig, WorkloadConfig};
-
-/// The three architectures the sweep compares, one per paper family:
-/// C1 `WsPhp-DB` (2 machines), C4 `Ws-Servlet-DB` (3 machines), and
-/// C6 `Ws-Servlet-EJB-DB` (4 machines).
-pub const AVAILABILITY_CONFIGS: [StandardConfig; 3] =
-    [StandardConfig::PhpColocated, StandardConfig::ServletDedicated, StandardConfig::EjbFourTier];
 
 /// The default fault-intensity ladder (see [`FaultSpec::at_intensity`]).
 pub const DEFAULT_INTENSITIES: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
@@ -100,7 +94,7 @@ pub struct AvailabilityData {
     /// The intensity ladder used.
     pub intensities: Vec<f64>,
     /// Points grouped by configuration (outer order =
-    /// [`AVAILABILITY_CONFIGS`] order), intensities ascending within.
+    /// [`FAMILY_CONFIGS`] order), intensities ascending within.
     pub points: Vec<AvailabilityPoint>,
 }
 
@@ -143,16 +137,14 @@ fn run_avail_point(
     }
 }
 
-/// Runs the full availability sweep over [`AVAILABILITY_CONFIGS`] ×
+/// Runs the full availability sweep over [`FAMILY_CONFIGS`] ×
 /// `intensities` on [`par_grid`](crate::par_grid), one fresh database fork
 /// per point (results are bit-identical for any `--jobs` value).
 pub fn run_availability(cfg: &HarnessConfig, intensities: &[f64]) -> AvailabilityData {
     let base_db = Benchmark::Bookstore.build_db(cfg.scale, cfg.seed);
     let mix = dynamid_bookstore::mixes::shopping();
-    let grid: Vec<(StandardConfig, f64)> = AVAILABILITY_CONFIGS
-        .iter()
-        .flat_map(|&c| intensities.iter().map(move |&i| (c, i)))
-        .collect();
+    let grid: Vec<(StandardConfig, f64)> =
+        FAMILY_CONFIGS.iter().flat_map(|&c| intensities.iter().map(move |&i| (c, i))).collect();
     let points = crate::par_grid(
         cfg.effective_jobs(),
         &grid,
@@ -204,7 +196,7 @@ pub fn availability_markdown(data: &AvailabilityData) -> String {
         out.push_str("---|");
     }
     out.push('\n');
-    for config in AVAILABILITY_CONFIGS {
+    for config in FAMILY_CONFIGS {
         out.push_str(&format!("| {} |", config.paper_name()));
         for p in data.points.iter().filter(|p| p.config == config) {
             out.push_str(&format!(" {:.0} |", p.goodput_ipm));
@@ -228,8 +220,8 @@ mod tests {
     #[test]
     fn sweep_covers_grid_and_zero_intensity_is_clean() {
         let data = run_availability(&tiny(), &[0.0, 1.0]);
-        assert_eq!(data.points.len(), AVAILABILITY_CONFIGS.len() * 2);
-        for config in AVAILABILITY_CONFIGS {
+        assert_eq!(data.points.len(), FAMILY_CONFIGS.len() * 2);
+        for config in FAMILY_CONFIGS {
             let clean = data
                 .points
                 .iter()

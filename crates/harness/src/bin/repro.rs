@@ -72,7 +72,11 @@ const FLAGS: &[Flag] = &[
     },
     Flag { name: "--fast", value: None, help: "scaled-down populations and short windows" },
     Flag { name: "--quiet", value: None, help: "suppress progress" },
-    Flag { name: "--scale", value: Some("<f>"), help: "population scale factor (default 1.0)" },
+    Flag {
+        name: "--scale",
+        value: Some("<f>"),
+        help: "population scale factor in (0, 10] (default 1.0)",
+    },
     Flag {
         name: "--clients",
         value: Some("a,b,c"),
@@ -173,9 +177,12 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 }
                 "--quiet" => cfg.verbose = false,
                 "--scale" => {
-                    cfg.scale = match value(&mut i).and_then(|v| v.parse().ok()) {
-                        Some(v) => v,
-                        None => return Err("--scale needs a number".into()),
+                    // Populations grow with the scale, so a huge or
+                    // infinite one overflows allocation and a non-positive
+                    // or NaN one silently runs the minimum population.
+                    cfg.scale = match value(&mut i).and_then(|v| v.parse::<f64>().ok()) {
+                        Some(v) if v > 0.0 && v <= 10.0 => v,
+                        _ => return Err("--scale needs a number in (0, 10]".into()),
                     };
                 }
                 "--seed" => {
@@ -575,8 +582,7 @@ fn failover_sweep(cfg: &HarnessConfig, out_dir: &Path, smoke: bool) -> Result<()
 /// consistency audit (the sweep panics otherwise).
 fn overload_sweep(cfg: &HarnessConfig, out_dir: &Path, smoke: bool) -> Result<(), String> {
     use dynamid_harness::{
-        overload_csv, overload_markdown, run_overload_configs, DEFAULT_SPIKE_MULTS,
-        FRONT_ENDED_OVERLOAD_CONFIGS, OVERLOAD_CONFIGS,
+        overload_csv, overload_markdown, run_overload_configs, DEFAULT_SPIKE_MULTS, FAMILY_CONFIGS,
     };
     let verbose = cfg.verbose;
     let (cfg, spike_mults): (HarnessConfig, &[f64]) = if smoke {
@@ -587,7 +593,7 @@ fn overload_sweep(cfg: &HarnessConfig, out_dir: &Path, smoke: bool) -> Result<()
     };
 
     let grids: [(&str, &[StandardConfig]); 2] =
-        [("overload.csv", &OVERLOAD_CONFIGS), ("overload_c789.csv", &FRONT_ENDED_OVERLOAD_CONFIGS)];
+        [("overload.csv", &FAMILY_CONFIGS), ("overload_c789.csv", &StandardConfig::FRONT_ENDED)];
     for (file, configs) in grids {
         let t0 = Instant::now();
         let data = run_overload_configs(&cfg, configs, spike_mults);
@@ -889,7 +895,7 @@ fn run_smoke(verbose: bool, chaos: bool) -> ExitCode {
     // counters, so the perf history tracks overload health release over
     // release.
     let overload_json = {
-        use dynamid_harness::{run_overload, OverloadMode, OVERLOAD_CONFIGS};
+        use dynamid_harness::{run_overload, OverloadMode, FAMILY_CONFIGS};
         let ocfg = pinned_smoke_cfg(1, 0.05, &[], 6);
         let t0 = Instant::now();
         let data = run_overload(&ocfg, &[6.0]);
@@ -924,7 +930,7 @@ fn run_smoke(verbose: bool, chaos: bool) -> ExitCode {
              \"equivalent_flags\": \"overload with seed 42, scale 0.05, spike 6x, \
              configs {}\"}}",
             data.points.len(),
-            OVERLOAD_CONFIGS.len()
+            FAMILY_CONFIGS.len()
         )
     };
 
@@ -1206,6 +1212,19 @@ mod tests {
         assert!(parse_args(&argv(&[])).is_err(), "no target given must error");
         // --smoke alone is a complete command line (targets optional).
         assert!(parse_args(&argv(&["--smoke"])).is_ok());
+    }
+
+    #[test]
+    fn scale_must_be_finite_and_positive() {
+        for bad in ["inf", "1e12", "-1", "0", "nan", "NaN", "10.5", "x"] {
+            let err = parse_args(&argv(&["--fast", "--scale", bad, "fig05"]))
+                .err()
+                .unwrap_or_else(|| panic!("--scale {bad} accepted"));
+            assert!(err.contains("--scale needs a number in (0, 10]"), "{bad}: {err}");
+        }
+        for good in ["0.002", "0.1", "1", "10"] {
+            assert!(parse_args(&argv(&["--scale", good, "fig05"])).is_ok(), "--scale {good}");
+        }
     }
 
     #[test]

@@ -18,15 +18,10 @@
 
 use crate::audit::run_audited;
 use crate::availability::storm_spec;
-use crate::{Benchmark, HarnessConfig};
+use crate::{Benchmark, HarnessConfig, FAMILY_CONFIGS};
 use dynamid_core::{ReplicaPolicy, StandardConfig};
 use dynamid_sim::{ErrorCounters, SimDuration};
 use dynamid_workload::Mix;
-
-/// The architectures the sweep compares (same family as the availability
-/// sweep): C1 `WsPhp-DB`, C4 `Ws-Servlet-DB`, C6 `Ws-Servlet-EJB-DB`.
-pub const FAILOVER_CONFIGS: [StandardConfig; 3] =
-    [StandardConfig::PhpColocated, StandardConfig::ServletDedicated, StandardConfig::EjbFourTier];
 
 /// The default replica-count ladder. `0` is the single-DB baseline every
 /// replicated point is gated against.
@@ -190,13 +185,13 @@ fn run_failover_point(
     }
 }
 
-/// Runs the full failover sweep over [`FAILOVER_CONFIGS`] × `replicas` ×
+/// Runs the full failover sweep over [`FAMILY_CONFIGS`] × `replicas` ×
 /// `intensities` on [`par_grid`](crate::par_grid), one fresh database fork
 /// per point (results are bit-identical for any `--jobs` value).
 pub fn run_failover(cfg: &HarnessConfig, replicas: &[usize], intensities: &[f64]) -> FailoverData {
     let base_db = Benchmark::Bookstore.build_db(cfg.scale, cfg.seed);
     let mix = dynamid_bookstore::mixes::shopping();
-    let grid: Vec<(StandardConfig, usize, f64)> = FAILOVER_CONFIGS
+    let grid: Vec<(StandardConfig, usize, f64)> = FAMILY_CONFIGS
         .iter()
         .flat_map(|&c| {
             replicas.iter().flat_map(move |&r| intensities.iter().map(move |&i| (c, r, i)))
@@ -259,7 +254,7 @@ pub fn failover_markdown(data: &FailoverData) -> String {
         out.push_str("---|");
     }
     out.push('\n');
-    for config in FAILOVER_CONFIGS {
+    for config in FAMILY_CONFIGS {
         for &n in &data.replicas {
             out.push_str(&format!("| {} | {} |", config.paper_name(), n));
             for &i in &data.intensities {
@@ -297,8 +292,8 @@ mod tests {
     #[test]
     fn pinned_kill_fails_over_and_beats_the_baseline() {
         let data = run_failover(&tiny(), &[0, 2], &[0.0]);
-        assert_eq!(data.points.len(), FAILOVER_CONFIGS.len() * 2);
-        for config in FAILOVER_CONFIGS {
+        assert_eq!(data.points.len(), FAMILY_CONFIGS.len() * 2);
+        for config in FAMILY_CONFIGS {
             let base = data.point(config, 0, 0.0).expect("baseline point");
             let repl = data.point(config, 2, 0.0).expect("replicated point");
             // The baseline has no tier to fail over to.

@@ -34,7 +34,7 @@ pub mod trace_run;
 pub use audit::{audit_auction, audit_bookstore, AuditReport};
 pub use availability::{
     availability_csv, availability_markdown, run_availability, AvailabilityData, AvailabilityPoint,
-    AVAILABILITY_CONFIGS, DEFAULT_INTENSITIES,
+    DEFAULT_INTENSITIES,
 };
 pub use cache_sweep::{
     cache_arms, cache_csv, cache_markdown, run_cache_sweep, CacheMode, CachePoint, CacheSweepData,
@@ -43,7 +43,7 @@ pub use cache_sweep::{
 };
 pub use failover::{
     failover_csv, failover_markdown, run_failover, FailoverData, FailoverPoint, DEFAULT_REPLICAS,
-    DEFAULT_STORM_INTENSITIES, FAILOVER_CONFIGS,
+    DEFAULT_STORM_INTENSITIES,
 };
 pub use figures::{
     default_clients, find_figure, run_figure, Benchmark, ConfigCurve, CurvePoint, FigureData,
@@ -52,13 +52,18 @@ pub use figures::{
 pub use grid::par_grid;
 pub use overload::{
     overload_csv, overload_markdown, run_overload, run_overload_configs, OverloadData,
-    OverloadMode, OverloadPoint, BASE_RATE_FRACTION, DEFAULT_SPIKE_MULTS,
-    FRONT_ENDED_OVERLOAD_CONFIGS, OVERLOAD_CONFIGS, OVERLOAD_MODES,
+    OverloadMode, OverloadPoint, BASE_RATE_FRACTION, DEFAULT_SPIKE_MULTS, OVERLOAD_MODES,
 };
 pub use trace_run::{default_trace_clients, run_traced, TracedRun, CPU_SHARE_TOLERANCE};
 
 use dynamid_core::StandardConfig;
 use dynamid_sim::{GrantPolicy, SimDuration};
+
+/// The three deployments the availability, failover and overload sweeps
+/// compare, one per paper family: C1 `WsPhp-DB` (2 machines), C4
+/// `Ws-Servlet-DB` (3 machines) and C6 `Ws-Servlet-EJB-DB` (4 machines).
+pub const FAMILY_CONFIGS: [StandardConfig; 3] =
+    [StandardConfig::PhpColocated, StandardConfig::ServletDedicated, StandardConfig::EjbFourTier];
 
 /// Everything that parameterizes a harness run.
 #[derive(Debug, Clone)]

@@ -30,24 +30,13 @@
 //! [`TimelineBucket`]: dynamid_workload::TimelineBucket
 
 use crate::audit::run_audited;
-use crate::{Benchmark, HarnessConfig};
+use crate::{Benchmark, HarnessConfig, FAMILY_CONFIGS};
 use dynamid_bookstore::{Bookstore, BookstoreScale};
 use dynamid_core::{AdmissionControl, BreakerPolicy, OverloadControl, StandardConfig};
 use dynamid_sim::{ErrorCounters, SimDuration};
 use dynamid_workload::{
     ArrivalProcess, ExperimentSpec, ResilienceConfig, RetryBudget, TimelineBucket, WorkloadConfig,
 };
-
-/// The architectures the default sweep compares (same trio as the
-/// availability sweep): C1 `WsPhp-DB`, C4 `Ws-Servlet-DB`, C6
-/// `Ws-Servlet-EJB-DB`.
-pub const OVERLOAD_CONFIGS: [StandardConfig; 3] =
-    [StandardConfig::PhpColocated, StandardConfig::ServletDedicated, StandardConfig::EjbFourTier];
-
-/// The front-ended deployments (C7 `Px-WsPhp-DB`, C8 `Lb-WsPhp-DB`, C9
-/// `Lb-Ws-Servlet-DB`) ridden through the same flash crowd by
-/// `repro overload`, gated against `results/golden/overload_c789.csv`.
-pub const FRONT_ENDED_OVERLOAD_CONFIGS: [StandardConfig; 3] = StandardConfig::FRONT_ENDED;
 
 /// Default spike intensities (arrival-rate multipliers during the spike).
 pub const DEFAULT_SPIKE_MULTS: [f64; 2] = [4.0, 8.0];
@@ -372,11 +361,11 @@ fn run_overload_point(
     }
 }
 
-/// Runs the full flash-crowd sweep over [`OVERLOAD_CONFIGS`] ×
+/// Runs the full flash-crowd sweep over [`FAMILY_CONFIGS`] ×
 /// [`OVERLOAD_MODES`] × `spike_mults`. Shorthand for
 /// [`run_overload_configs`] on the default trio.
 pub fn run_overload(cfg: &HarnessConfig, spike_mults: &[f64]) -> OverloadData {
-    run_overload_configs(cfg, &OVERLOAD_CONFIGS, spike_mults)
+    run_overload_configs(cfg, &FAMILY_CONFIGS, spike_mults)
 }
 
 /// Runs the flash-crowd sweep over an explicit configuration list ×
@@ -489,7 +478,7 @@ mod tests {
     #[test]
     fn naive_collapses_and_full_control_recovers() {
         let data = run_overload(&tiny(), &[6.0]);
-        assert_eq!(data.points.len(), OVERLOAD_CONFIGS.len() * OVERLOAD_MODES.len());
+        assert_eq!(data.points.len(), FAMILY_CONFIGS.len() * OVERLOAD_MODES.len());
         for p in &data.points {
             assert!(p.pre_goodput_ipm > 0.0, "{:?}: no pre-spike goodput", (p.config, p.mode));
         }
@@ -498,7 +487,7 @@ mod tests {
         // The controls actually engaged: shedding and breaker denials are
         // visible in the taxonomy, and the budget capped retries below the
         // naive arm's storm.
-        for config in OVERLOAD_CONFIGS {
+        for config in FAMILY_CONFIGS {
             let naive = data.point(config, OverloadMode::Naive, 6.0).unwrap();
             let full = data.point(config, OverloadMode::Full, 6.0).unwrap();
             assert!(
@@ -531,10 +520,10 @@ mod tests {
         let serial = tiny();
         let mut parallel = serial.clone();
         parallel.jobs = 4;
-        let a = run_overload_configs(&serial, &FRONT_ENDED_OVERLOAD_CONFIGS, &[6.0]);
-        let b = run_overload_configs(&parallel, &FRONT_ENDED_OVERLOAD_CONFIGS, &[6.0]);
+        let a = run_overload_configs(&serial, &StandardConfig::FRONT_ENDED, &[6.0]);
+        let b = run_overload_configs(&parallel, &StandardConfig::FRONT_ENDED, &[6.0]);
         assert_eq!(a, b, "--jobs changed front-ended sweep results");
-        assert_eq!(a.points.len(), FRONT_ENDED_OVERLOAD_CONFIGS.len() * OVERLOAD_MODES.len());
+        assert_eq!(a.points.len(), StandardConfig::FRONT_ENDED.len() * OVERLOAD_MODES.len());
         for p in &a.points {
             assert!(p.pre_goodput_ipm > 0.0, "{:?}: no pre-spike goodput", (p.config, p.mode));
         }

@@ -60,8 +60,7 @@ pub fn cpu_markdown(data: &FigureData) -> String {
         };
         // When the servlet shares the web machine its CPU is reported
         // under WebServer, as in the paper.
-        let servlet =
-            if c.config.topology().has_dedicated_container() { p.cpu_of("servlet") } else { None };
+        let servlet = if c.config.has_dedicated_container() { p.cpu_of("servlet") } else { None };
         let _ = writeln!(
             out,
             "| {} | {} | {} | {} | {} | {:.1} | {:.2} |",

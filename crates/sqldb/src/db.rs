@@ -123,15 +123,10 @@ pub struct Database {
 impl Database {
     /// Creates an empty database with the default cost model.
     pub fn new() -> Self {
-        Self::with_cost_model(DbCostModel::default())
-    }
-
-    /// Creates an empty database with an explicit cost model.
-    pub fn with_cost_model(cost: DbCostModel) -> Self {
         Database {
             tables: Vec::new(),
             by_name: HashMap::new(),
-            cost,
+            cost: DbCostModel::default(),
             stmt_cache: HashMap::new(),
             plan_cache: HashMap::new(),
             schema_version: 0,

@@ -8,9 +8,8 @@ use crate::driver::{
 use crate::fault::FaultSpec;
 use crate::mix::Mix;
 use dynamid_core::{
-    AdmissionControl, Application, CachePolicy, CacheScope, CostModel, InstallOptions,
-    MethodCacheConfig, MethodCacheStats, Middleware, OverloadControl, ReplicaPolicy,
-    StandardConfig,
+    AdmissionControl, Application, CachePolicy, CacheScope, InstallOptions, MethodCacheConfig,
+    MethodCacheStats, Middleware, OverloadControl, ReplicaPolicy, StandardConfig,
 };
 use dynamid_sim::fault::{CrashWindow, FaultPlan};
 use dynamid_sim::{
@@ -120,11 +119,10 @@ impl ExperimentResult {
 }
 
 /// Builder for one experiment run — the single entry point for every
-/// combination of configuration, cost model, lock policy, faults,
-/// admission control, and tracing.
+/// combination of configuration, lock policy, faults, admission control,
+/// and tracing.
 ///
-/// Defaults reproduce the paper's setup: default cost model, default lock
-/// grant policy, no faults, no admission control, patient clients, and no
+/// Defaults reproduce the paper's setup: default lock grant policy, no faults, no admission control, patient clients, and no
 /// tracing. Every knob is an orthogonal builder method:
 ///
 /// ```ignore
@@ -137,7 +135,6 @@ impl ExperimentResult {
 #[derive(Debug, Clone)]
 pub struct ExperimentSpec<'a> {
     config: StandardConfig,
-    costs: CostModel,
     mix: Option<&'a Mix>,
     workload: WorkloadConfig,
     policy: GrantPolicy,
@@ -157,7 +154,6 @@ impl<'a> ExperimentSpec<'a> {
     pub fn for_config(config: StandardConfig) -> Self {
         ExperimentSpec {
             config,
-            costs: CostModel::default(),
             mix: None,
             workload: WorkloadConfig::new(10),
             policy: GrantPolicy::default(),
@@ -175,12 +171,6 @@ impl<'a> ExperimentSpec<'a> {
     /// The interaction mix clients draw from (required before `run`).
     pub fn mix(mut self, mix: &'a Mix) -> Self {
         self.mix = Some(mix);
-        self
-    }
-
-    /// Overrides the cost model.
-    pub fn costs(mut self, costs: CostModel) -> Self {
-        self.costs = costs;
         self
     }
 
@@ -308,7 +298,6 @@ impl<'a> ExperimentSpec<'a> {
             config,
             db,
             app,
-            self.costs.clone(),
             InstallOptions {
                 admission: self.admission,
                 tracing: self.tracing,

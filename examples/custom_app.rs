@@ -11,8 +11,8 @@
 //! ```
 
 use dynamid::core::{
-    AppLockSpec, AppResult, Application, CostModel, InteractionSpec, LogicStyle, Middleware,
-    RequestCtx, SessionData, StandardConfig,
+    AppLockSpec, AppResult, Application, InteractionSpec, LogicStyle, Middleware, RequestCtx,
+    SessionData, StandardConfig,
 };
 use dynamid::sim::{SimDuration, SimRng, Simulation};
 use dynamid::sqldb::{ColumnType, Database, TableSchema, Value};
@@ -130,7 +130,7 @@ fn main() {
         println!("=== {} ===", config.paper_name());
         let mut db = guestbook_db();
         let mut sim = Simulation::new(SimDuration::from_micros(100));
-        let mw = Middleware::install(&mut sim, config, &db, &Guestbook, CostModel::default());
+        let mw = Middleware::install(&mut sim, config, &db, &Guestbook);
         let mut session = SessionData::new(0);
         let mut rng = SimRng::new(1);
         // Sign twice, then view, capturing the HTML of the view.

@@ -17,6 +17,11 @@ cargo test -q
 echo "== workspace tests (the root package already ran above)"
 cargo test -q --workspace --exclude dynamid
 
+echo "== benchmark package builds against the current API"
+# hostbench/ is its own Cargo workspace, so the workspace build above does
+# not compile it; an API change that breaks the benchmark fails here.
+cargo build --release --offline --quiet --manifest-path hostbench/Cargo.toml
+
 echo "== perf + chaos smoke (writes BENCH_repro.json)"
 cargo run --release -q -p dynamid-harness --bin repro -- --smoke --chaos
 

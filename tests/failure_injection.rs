@@ -3,8 +3,8 @@
 //! application logic fails mid-request.
 
 use dynamid::core::{
-    AppError, AppLockSpec, AppResult, Application, CostModel, InteractionSpec, Middleware,
-    RequestCtx, SessionData, StandardConfig,
+    AppError, AppLockSpec, AppResult, Application, InteractionSpec, Middleware, RequestCtx,
+    SessionData, StandardConfig,
 };
 use dynamid::sim::engine::NullDriver;
 use dynamid::sim::{SimDuration, SimRng, SimTime, Simulation};
@@ -92,7 +92,7 @@ fn failed_requests_produce_balanced_runnable_traces() {
     for config in StandardConfig::ALL {
         let mut db = db_with_t();
         let mut sim = Simulation::new(SimDuration::from_micros(100));
-        let mw = Middleware::install(&mut sim, config, &db, &Saboteur, CostModel::default());
+        let mw = Middleware::install(&mut sim, config, &db, &Saboteur);
         let mut session = SessionData::new(0);
         let mut rng = SimRng::new(9);
         let ids: &[usize] = match config {
@@ -126,13 +126,7 @@ fn failed_requests_produce_balanced_runnable_traces() {
 fn facade_failure_rolls_back_bean_stores() {
     let mut db = db_with_t();
     let mut sim = Simulation::new(SimDuration::from_micros(100));
-    let mw = Middleware::install(
-        &mut sim,
-        StandardConfig::EjbFourTier,
-        &db,
-        &Saboteur,
-        CostModel::default(),
-    );
+    let mw = Middleware::install(&mut sim, StandardConfig::EjbFourTier, &db, &Saboteur);
     let mut session = SessionData::new(0);
     let mut rng = SimRng::new(9);
     let prep = mw.run_interaction(&mut db, &Saboteur, 3, &mut session, &mut rng, false);
@@ -179,13 +173,7 @@ fn session_survives_a_string_of_failures() {
     }
     let mut db = db_with_t();
     let mut sim = Simulation::new(SimDuration::from_micros(100));
-    let mw = Middleware::install(
-        &mut sim,
-        StandardConfig::PhpColocated,
-        &db,
-        &Mixed,
-        CostModel::default(),
-    );
+    let mw = Middleware::install(&mut sim, StandardConfig::PhpColocated, &db, &Mixed);
     let mut session = SessionData::new(0);
     let mut rng = SimRng::new(2);
     for round in 0..5 {
