@@ -139,7 +139,6 @@ pub fn populate(db: &mut Database, scale: &AuctionScale, seed: u64) -> SqlResult
     {
         let mut urng = rng.fork(1);
         let t = db.table_mut("users")?;
-        t.reserve(scale.users);
         for i in 0..scale.users {
             t.insert(vec![
                 Value::Null,
@@ -158,7 +157,6 @@ pub fn populate(db: &mut Database, scale: &AuctionScale, seed: u64) -> SqlResult
     {
         let mut irng = rng.fork(2);
         let t = db.table_mut("items")?;
-        t.reserve(scale.live_items);
         for _ in 0..scale.live_items {
             let row = item_row(&mut irng, users, true);
             t.insert(row)?;
@@ -167,7 +165,6 @@ pub fn populate(db: &mut Database, scale: &AuctionScale, seed: u64) -> SqlResult
     {
         let mut org = rng.fork(3);
         let t = db.table_mut("old_items")?;
-        t.reserve(scale.old_items);
         for _ in 0..scale.old_items {
             let row = item_row(&mut org, users, false);
             t.insert(row)?;
@@ -178,7 +175,6 @@ pub fn populate(db: &mut Database, scale: &AuctionScale, seed: u64) -> SqlResult
         let live = scale.live_items as i64;
         let total_bids = scale.live_items * scale.bids_per_item;
         let t = db.table_mut("bids")?;
-        t.reserve(total_bids);
         for _ in 0..total_bids {
             // Zipf-skew bids toward popular items.
             let item = brng.zipf(live as usize, 0.6) as i64 + 1;
@@ -197,7 +193,6 @@ pub fn populate(db: &mut Database, scale: &AuctionScale, seed: u64) -> SqlResult
     {
         let mut bnr = rng.fork(5);
         let t = db.table_mut("buy_now")?;
-        t.reserve(scale.buy_nows);
         for _ in 0..scale.buy_nows {
             t.insert(vec![
                 Value::Null,
@@ -211,7 +206,6 @@ pub fn populate(db: &mut Database, scale: &AuctionScale, seed: u64) -> SqlResult
     {
         let mut crng = rng.fork(6);
         let t = db.table_mut("comments")?;
-        t.reserve(scale.comments);
         for _ in 0..scale.comments {
             t.insert(vec![
                 Value::Null,

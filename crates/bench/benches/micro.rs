@@ -176,10 +176,28 @@ fn bench_exec(c: &mut Criterion) {
         })
     });
 
-    // Sweep-point setup: forking the base database is O(tables) under
-    // copy-on-write; the deep clone is what every point used to pay.
+    // Sweep-point setup. The fork itself is O(tables), one refcount bump
+    // per table, so `snapshot_fork_cow` alone never shows what a point
+    // pays: that lands on the point's first write to each table, which
+    // clones the table's page and leaf lists and copies the one row page
+    // and index leaf per index the write touches, and on the drop that
+    // frees them. `snapshot_fork_first_write` times that whole cycle. The
+    // deep clone copies every page and leaf up front.
     let base = join_db(500, 4_000);
     g.bench_function("snapshot_fork_cow", |b| b.iter(|| black_box(base.clone())));
+    g.bench_function("snapshot_fork_first_write", |b| {
+        b.iter(|| {
+            let mut fork = base.clone();
+            for name in ["items", "lines"] {
+                let t = fork.table_mut(name).unwrap();
+                let mut row = t.get(7).unwrap().to_vec();
+                t.update(7, row.clone()).unwrap();
+                row[0] = Value::Null;
+                t.insert(row).unwrap();
+            }
+            drop(black_box(fork));
+        })
+    });
     g.bench_function("snapshot_deep_clone", |b| b.iter(|| black_box(base.deep_clone())));
     g.finish();
 }

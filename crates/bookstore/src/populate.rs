@@ -88,7 +88,6 @@ pub fn populate(db: &mut Database, scale: &BookstoreScale, seed: u64) -> SqlResu
     {
         let mut arng = rng.fork(1);
         let t = db.table_mut("authors")?;
-        t.reserve(n_authors);
         for i in 0..n_authors {
             t.insert(vec![
                 Value::Null,
@@ -104,7 +103,6 @@ pub fn populate(db: &mut Database, scale: &BookstoreScale, seed: u64) -> SqlResu
         let mut irng = rng.fork(2);
         let items = scale.items as i64;
         let t = db.table_mut("items")?;
-        t.reserve(scale.items);
         for i in 0..scale.items {
             let related: Vec<Value> =
                 (0..5).map(|_| Value::Int(irng.uniform_i64(1, items))).collect();
@@ -128,8 +126,6 @@ pub fn populate(db: &mut Database, scale: &BookstoreScale, seed: u64) -> SqlResu
     // Addresses + customers (one address each).
     {
         let mut crng = rng.fork(3);
-        db.table_mut("address")?.reserve(scale.customers);
-        db.table_mut("customers")?.reserve(scale.customers);
         for i in 0..scale.customers {
             let addr = {
                 let t = db.table_mut("address")?;
@@ -163,9 +159,6 @@ pub fn populate(db: &mut Database, scale: &BookstoreScale, seed: u64) -> SqlResu
         let mut orng = rng.fork(4);
         let items = scale.items as i64;
         let customers = scale.customers as i64;
-        db.table_mut("orders")?.reserve(scale.orders);
-        db.table_mut("order_line")?.reserve(scale.orders * 3);
-        db.table_mut("credit_info")?.reserve(scale.orders);
         for _ in 0..scale.orders {
             let lines = orng.uniform_u64(1, 5);
             let subtotal = orng.uniform_i64(100, 50_000) as f64 / 100.0;

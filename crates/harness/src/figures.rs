@@ -330,7 +330,8 @@ pub fn run_figure(pair: FigurePair, cfg: &HarnessConfig) -> FigureData {
     // Each worker holds ONE copy-on-write fork of the base database for its
     // whole lifetime and rewinds it to pristine between points, so the
     // per-point cost is proportional to the rows the point touched instead
-    // of a full table un-share (and drop) per point. A point whose run
+    // of a table clone (O(pages)) for every table it writes, plus the page
+    // copies, and their drop, per point. A point whose run
     // performed a mutation the rewind journal cannot exactly reverse (an
     // in-flight abort's rollback) poisons the journal; the worker then
     // discards the fork and re-clones — correctness never depends on

@@ -90,10 +90,14 @@ impl DbStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Database {
-    /// Tables are `Arc`-shared between clones: `Database::clone` is an
-    /// O(tables) copy-on-write snapshot fork, and the first write to a table
-    /// in either copy un-shares just that table (`Arc::make_mut`). The
-    /// harness leans on this to fork a populated database per sweep point.
+    /// Copy-on-write at two levels. Tables are `Arc`-shared between
+    /// clones, so `Database::clone` is an O(tables) snapshot fork; the
+    /// first write to a table in either copy clones just that table
+    /// (`Arc::make_mut`), which is O(pages) because table storage is
+    /// itself copy-on-write at page granularity (see [`Table`]): a write
+    /// then un-shares only the row page and the index leaves it touches.
+    /// The harness leans on this to fork a populated database per sweep
+    /// point.
     tables: Vec<Arc<Table>>,
     by_name: HashMap<String, usize>,
     cost: DbCostModel,
@@ -417,8 +421,9 @@ impl Database {
     /// current table state byte-exactly. Re-arming resets the journal.
     ///
     /// The harness uses this to reuse one database fork across many sweep
-    /// points instead of paying a full copy-on-write table clone (and drop)
-    /// per point.
+    /// points instead of paying, per point, a fresh fork's first-write
+    /// clone of each table it writes (O(pages)) plus its page and leaf
+    /// copies, and their drop.
     pub fn begin_rewind(&mut self) {
         self.journal = Some(TxnLog::default());
         self.journal_dirty = false;
@@ -485,7 +490,7 @@ impl Database {
     pub fn same_data(&self, other: &Database) -> bool {
         self.by_name == other.by_name
             && self.tables.len() == other.tables.len()
-            && self.tables.iter().zip(&other.tables).all(|(a, b)| **a == **b)
+            && self.tables.iter().zip(&other.tables).all(|(a, b)| Arc::ptr_eq(a, b) || **a == **b)
     }
 
     /// Inserts a row into table `id`, recording undo information when a
@@ -571,14 +576,15 @@ impl Database {
         Ok(old_row)
     }
 
-    /// A fully materialized copy: every table's rows and indexes are
-    /// duplicated up front instead of shared copy-on-write. Only useful as
-    /// the baseline in snapshot benchmarks; `Database::clone` is the cheap
-    /// O(tables) fork every caller should prefer.
+    /// A fully materialized copy: every row page and index leaf is
+    /// duplicated up front instead of shared copy-on-write, so the copy
+    /// shares no storage with `self`. Useful as a snapshot oracle in tests
+    /// and as the baseline in snapshot benchmarks; `Database::clone` is the
+    /// cheap O(tables) fork every other caller should prefer.
     pub fn deep_clone(&self) -> Database {
         let mut copy = self.clone();
         for t in &mut copy.tables {
-            *t = Arc::new((**t).clone());
+            *t = Arc::new(t.deep_clone());
         }
         copy
     }

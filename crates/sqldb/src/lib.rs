@@ -10,7 +10,7 @@
 //!   auction site's query shapes: filtered/joined SELECTs with GROUP BY,
 //!   ORDER BY, LIMIT and aggregates, INSERT / UPDATE / DELETE, and
 //!   MyISAM's `LOCK TABLES` / `UNLOCK TABLES`;
-//! * real storage with primary-key and secondary B-tree indexes
+//! * real storage with primary-key and sorted secondary indexes
 //!   ([`Table`]), so queries return real, data-dependent results;
 //! * an access-path planner (index equality / range / full scan) and an
 //!   executor that counts the work it does;

@@ -1,8 +1,10 @@
-//! Row storage with primary-key and secondary B-tree indexes.
+//! Row storage with primary-key and secondary indexes, copy-on-write at
+//! page granularity.
 
 use crate::error::{SqlError, SqlResult};
 use crate::schema::TableSchema;
 use crate::value::{Istr, Value};
+use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
@@ -284,13 +286,208 @@ impl PartialEq for PkIndex {
     }
 }
 
+/// Row slots per page, as a shift: slot `rid` lives on page
+/// `rid >> PAGE_SHIFT` at offset `rid & (PAGE_ROWS - 1)`.
+const PAGE_SHIFT: u32 = 6;
+/// Row slots per page: one bit each in a page's `u64` liveness mask.
+const PAGE_ROWS: usize = 1 << PAGE_SHIFT;
+const _: () = assert!(PAGE_ROWS <= u64::BITS as usize);
+/// Keys a secondary-index leaf holds before it splits in two.
+const LEAF_KEYS: usize = 128;
+
+/// The page and in-page offset of row slot `rid`.
+fn page_of(rid: RowId) -> (usize, usize) {
+    (rid >> PAGE_SHIFT, rid & (PAGE_ROWS - 1))
+}
+
+/// Offsets of the set bits of a page's liveness mask, ascending.
+fn live_offsets(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let off = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            off
+        })
+    })
+}
+
+/// A run of one secondary index's `(key, row ids)` entries, in key order.
+type Leaf = Vec<(Value, Vec<RowId>)>;
+
+/// Position of `key`'s entry in a leaf (`Ok`), or where it would go
+/// (`Err`). The last entry is checked first, as in
+/// [`SecIndex::leaf_of`].
+fn search(leaf: &Leaf, key: &Value) -> Result<usize, usize> {
+    match leaf.last().map(|(last, _)| last.cmp(key)) {
+        Some(Ordering::Less) => Err(leaf.len()),
+        Some(Ordering::Equal) => Ok(leaf.len() - 1),
+        _ => leaf.binary_search_by(|(k, _)| k.cmp(key)),
+    }
+}
+
+/// One secondary index: its entries in ascending key order, cut into
+/// `Arc`-shared leaves of at most `LEAF_KEYS` keys, each paired with a
+/// separator key. Every key in a leaf is at least its separator and below
+/// the next leaf's (leaf 0 also takes keys below its separator), so a key
+/// is found by binary search over the separators, then within the leaf. A
+/// leaf splits in half when it outgrows `LEAF_KEYS`, the upper half's
+/// first key becoming its separator, and is dropped when it empties.
+/// Leaves are never merged or rebalanced: where they are cut depends on
+/// the mutation history, never on what the index holds.
+#[derive(Debug, Clone, Default)]
+struct SecIndex {
+    leaves: Vec<(Value, Arc<Leaf>)>,
+}
+
+impl SecIndex {
+    /// The leaf that holds `key` if any does: the last one whose separator
+    /// is not above it (leaf 0 for keys below every separator).
+    ///
+    /// The last leaf is checked first: keys that only ascend (foreign keys
+    /// to auto-increment ids) always land there.
+    fn leaf_of(&self, key: &Value) -> usize {
+        match self.leaves.last() {
+            Some((sep, _)) if sep <= key => self.leaves.len() - 1,
+            _ => self.leaves.partition_point(|(sep, _)| sep <= key).saturating_sub(1),
+        }
+    }
+
+    /// `(leaf, position in leaf)` of `key`'s entry.
+    fn find(&self, key: &Value) -> Option<(usize, usize)> {
+        let li = self.leaf_of(key);
+        let pos = search(&self.leaves.get(li)?.1, key).ok()?;
+        Some((li, pos))
+    }
+
+    fn get(&self, key: &Value) -> Option<&[RowId]> {
+        self.find(key).map(|(li, pos)| self.leaves[li].1[pos].1.as_slice())
+    }
+
+    /// Number of distinct keys.
+    fn len(&self) -> usize {
+        self.leaves.iter().map(|(_, leaf)| leaf.len()).sum()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &(Value, Vec<RowId>)> + '_ {
+        self.leaves.iter().flat_map(|(_, leaf)| leaf.iter())
+    }
+
+    /// Inserts `rid` into `key`'s entry at position `pos` (clamped), or at
+    /// the end when `pos` is `None`.
+    fn insert(&mut self, key: &Value, rid: RowId, pos: Option<usize>) {
+        if self.leaves.is_empty() {
+            self.leaves.push((key.clone(), Arc::new(vec![(key.clone(), vec![rid])])));
+            return;
+        }
+        let li = self.leaf_of(key);
+        let leaf = Arc::make_mut(&mut self.leaves[li].1);
+        match search(leaf, key) {
+            Ok(i) => {
+                let rids = &mut leaf[i].1;
+                rids.insert(pos.unwrap_or(rids.len()).min(rids.len()), rid);
+            }
+            Err(i) => {
+                leaf.insert(i, (key.clone(), vec![rid]));
+                if leaf.len() > LEAF_KEYS {
+                    let upper = leaf.split_off(leaf.len() / 2);
+                    self.leaves.insert(li + 1, (upper[0].0.clone(), Arc::new(upper)));
+                }
+            }
+        }
+    }
+
+    /// Removes `rid` from `key`'s entry, dropping the entry (and its leaf)
+    /// once empty.
+    fn remove(&mut self, key: &Value, rid: RowId) {
+        let Some((li, pos)) = self.find(key) else { return };
+        let leaf = Arc::make_mut(&mut self.leaves[li].1);
+        leaf[pos].1.retain(|r| *r != rid);
+        if leaf[pos].1.is_empty() {
+            leaf.remove(pos);
+            if leaf.is_empty() {
+                self.leaves.remove(li);
+            }
+        }
+    }
+
+    /// Row ids with keys inside the bounds, in key order.
+    fn range(&self, lo: Bound<&Value>, hi: Bound<&Value>) -> Vec<RowId> {
+        let (li, skip) = match lo {
+            Bound::Unbounded => (0, 0),
+            Bound::Included(b) | Bound::Excluded(b) => {
+                let li = self.leaf_of(b);
+                let below =
+                    |k: &Value| if matches!(lo, Bound::Included(_)) { k < b } else { k <= b };
+                let skip = self
+                    .leaves
+                    .get(li)
+                    .map_or(0, |(_, leaf)| leaf.partition_point(|(k, _)| below(k)));
+                (li, skip)
+            }
+        };
+        self.leaves[li..]
+            .iter()
+            .flat_map(|(_, leaf)| leaf.iter())
+            .skip(skip)
+            .take_while(|(k, _)| match hi {
+                Bound::Unbounded => true,
+                Bound::Included(b) => k <= b,
+                Bound::Excluded(b) => k < b,
+            })
+            .flat_map(|(_, rids)| rids.iter().copied())
+            .collect()
+    }
+
+    /// Gives every leaf its own allocation.
+    fn unshare(&mut self) {
+        for (_, leaf) in &mut self.leaves {
+            *leaf = Arc::new(Leaf::clone(leaf));
+        }
+    }
+}
+
+/// Equality of the entry sequences, wherever the leaves are cut. A leaf
+/// both sides share, and both reach at its start, is skipped unread.
+impl PartialEq for SecIndex {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (&self.leaves, &other.leaves);
+        // (leaf, entry within leaf) cursors into each side.
+        let (mut i, mut x, mut j, mut y) = (0, 0, 0, 0);
+        loop {
+            if i < a.len() && x == a[i].1.len() {
+                (i, x) = (i + 1, 0);
+                continue;
+            }
+            if j < b.len() && y == b[j].1.len() {
+                (j, y) = (j + 1, 0);
+                continue;
+            }
+            match (i < a.len(), j < b.len()) {
+                (false, false) => return true,
+                (true, true) => {}
+                _ => return false,
+            }
+            if x == 0 && y == 0 && Arc::ptr_eq(&a[i].1, &b[j].1) {
+                (i, j) = (i + 1, j + 1);
+            } else if a[i].1[x] != b[j].1[y] {
+                return false;
+            } else {
+                (x, y) = (x + 1, y + 1);
+            }
+        }
+    }
+}
+
 /// A stored table: schema, row slots, and indexes.
 ///
-/// Rows live in a single flat cell arena (`cells`, stride = column count)
-/// with a parallel liveness mask, rather than one `Vec<Value>` allocation
-/// per row. Inserting into a reused slot overwrites cells in place, and
-/// reading a row is a slice borrow — no per-row boxing anywhere on the
-/// scan, lookup, or undo paths.
+/// Storage is copy-on-write at page granularity, so cloning a table (a
+/// database fork) costs O(pages), not O(rows). Rows live in fixed-size
+/// pages of whole rows, each page one flat cell run with a liveness mask,
+/// so reading a row is a slice borrow. Secondary indexes are sorted runs
+/// of shared leaves. A write un-shares (`Arc::make_mut`) only the page of
+/// the row it touches and the one leaf per index that holds the row's key;
+/// inserts append to the last page. The dense primary-key index is copied
+/// whole on clone (one `memcpy`).
 ///
 /// ```
 /// use dynamid_sqldb::{Table, TableSchema, ColumnType, Value};
@@ -310,18 +507,22 @@ impl PartialEq for PkIndex {
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: TableSchema,
-    /// Row cells, `width` per slot. Dead slots keep their last values
-    /// (excluded from equality) until the slot is reused.
-    cells: Vec<Value>,
+    /// Row cells in pages of `PAGE_ROWS` slots, `width` cells per slot,
+    /// allocated whole. Dead slots keep their last values (excluded from
+    /// equality) until the slot is reused; slots past the last hold nulls.
+    pages: Vec<Arc<[Value]>>,
+    /// One liveness mask per page: bit `off` is set while slot `off` of the
+    /// page holds a live row.
+    live_mask: Vec<u64>,
+    /// Number of row slots, live or dead.
+    slots: usize,
     /// Cells per row (= number of schema columns).
     width: usize,
-    /// Parallel to slots: `true` while the slot holds a live row.
-    live_mask: Vec<bool>,
     live: usize,
     free: Vec<RowId>,
     pk_index: PkIndex,
-    /// Parallel to `schema.indexes()`: one B-tree per secondary index.
-    sec: Vec<BTreeMap<Value, Vec<RowId>>>,
+    /// Parallel to `schema.indexes()`.
+    sec: Vec<SecIndex>,
     next_auto: i64,
     interner: StrInterner,
 }
@@ -329,35 +530,39 @@ pub struct Table {
 /// Equality compares logical content: schema, slot layout, live rows,
 /// free list, indexes, and the auto counter. The interner and the garbage
 /// cells of dead slots are deliberately excluded — they are caches whose
-/// contents depend on mutation history, not on the data.
+/// contents depend on mutation history, not on the data. Pages and index
+/// leaves shared by both sides are equal without being read.
 impl PartialEq for Table {
     fn eq(&self, other: &Self) -> bool {
         self.schema == other.schema
             && self.live == other.live
             && self.next_auto == other.next_auto
+            && self.slots == other.slots
             && self.live_mask == other.live_mask
             && self.free == other.free
             && self.pk_index == other.pk_index
             && self.sec == other.sec
-            && self
-                .live_mask
-                .iter()
-                .enumerate()
-                .filter(|(_, l)| **l)
-                .all(|(rid, _)| self.get(rid) == other.get(rid))
+            && self.pages.iter().zip(&other.pages).zip(&self.live_mask).all(|((a, b), mask)| {
+                Arc::ptr_eq(a, b)
+                    || live_offsets(*mask).all(|off| {
+                        let cells = off * self.width..(off + 1) * self.width;
+                        a[cells.clone()] == b[cells]
+                    })
+            })
     }
 }
 
 impl Table {
     /// Creates an empty table for the schema.
     pub fn new(schema: TableSchema) -> Self {
-        let sec = schema.indexes().iter().map(|_| BTreeMap::new()).collect();
+        let sec = schema.indexes().iter().map(|_| SecIndex::default()).collect();
         let width = schema.columns().len();
         Table {
             schema,
-            cells: Vec::new(),
-            width,
+            pages: Vec::new(),
             live_mask: Vec::new(),
+            slots: 0,
+            width,
             live: 0,
             free: Vec::new(),
             pk_index: PkIndex::default(),
@@ -365,6 +570,19 @@ impl Table {
             next_auto: 1,
             interner: StrInterner::default(),
         }
+    }
+
+    /// A copy that shares no page or index leaf with `self` (a clone
+    /// shares all of them until either side writes).
+    pub(crate) fn deep_clone(&self) -> Table {
+        let mut copy = self.clone();
+        for page in &mut copy.pages {
+            *page = Arc::from(&page[..]);
+        }
+        for index in &mut copy.sec {
+            index.unshare();
+        }
+        copy
     }
 
     /// The table's schema.
@@ -375,15 +593,6 @@ impl Table {
     /// Number of live rows.
     pub fn row_count(&self) -> usize {
         self.live
-    }
-
-    /// Pre-sizes the cell arena and liveness mask for `additional` upcoming
-    /// inserts. Purely an allocation hint — bulk loaders (benchmark
-    /// population) use it to skip doubling-growth copies of a
-    /// multi-megabyte arena.
-    pub fn reserve(&mut self, additional: usize) {
-        self.cells.reserve(additional * self.width.max(1));
-        self.live_mask.reserve(additional);
     }
 
     /// Inserts a row (values in schema column order). For an auto-increment
@@ -423,31 +632,15 @@ impl Table {
         for v in &mut row {
             self.interner.intern(v);
         }
-        let rid = match self.free.pop() {
-            Some(slot) => {
-                for (cell, v) in self.cells[slot * self.width..].iter_mut().zip(row) {
-                    *cell = v;
-                }
-                self.live_mask[slot] = true;
-                slot
-            }
-            None => {
-                self.cells.extend(row);
-                self.live_mask.push(true);
-                self.live_mask.len() - 1
-            }
-        };
+        let rid = self.free.pop().unwrap_or_else(|| self.push_slot());
         self.live += 1;
-        self.index_insert(rid);
+        self.write_live(rid, row, &[]);
         Ok((rid, assigned))
     }
 
     /// The row at `rid`, if live.
     pub fn get(&self, rid: RowId) -> Option<&[Value]> {
-        if !self.live_mask.get(rid).copied().unwrap_or(false) {
-            return None;
-        }
-        Some(&self.cells[rid * self.width..(rid + 1) * self.width])
+        self.is_live(rid).then(|| self.cells(rid))
     }
 
     /// Replaces the row at `rid`, maintaining all indexes.
@@ -474,10 +667,7 @@ impl Table {
             self.interner.intern(v);
         }
         self.index_remove(rid);
-        for (cell, v) in self.cells[rid * self.width..].iter_mut().zip(new_row) {
-            *cell = v;
-        }
-        self.index_insert(rid);
+        self.write_live(rid, new_row, &[]);
         Ok(())
     }
 
@@ -487,15 +677,15 @@ impl Table {
     ///
     /// Fails if the row id is dead.
     pub fn delete(&mut self, rid: RowId) -> SqlResult<Vec<Value>> {
-        if self.get(rid).is_none() {
+        if !self.is_live(rid) {
             return Err(SqlError::Constraint(format!("no row {rid}")));
         }
         self.index_remove(rid);
-        let row = self.cells[rid * self.width..(rid + 1) * self.width]
+        let row = self
+            .slot_mut(rid, false)
             .iter_mut()
             .map(|cell| std::mem::replace(cell, Value::Null))
             .collect();
-        self.live_mask[rid] = false;
         self.free.push(rid);
         self.live -= 1;
         Ok(row)
@@ -503,11 +693,11 @@ impl Table {
 
     /// Iterates live rows in slot order.
     pub fn scan(&self) -> impl Iterator<Item = (RowId, &[Value])> + '_ {
-        self.live_mask
-            .iter()
-            .enumerate()
-            .filter(|(_, live)| **live)
-            .map(move |(rid, _)| (rid, &self.cells[rid * self.width..(rid + 1) * self.width]))
+        let width = self.width;
+        self.pages.iter().zip(&self.live_mask).enumerate().flat_map(move |(p, (page, mask))| {
+            live_offsets(*mask)
+                .map(move |off| ((p << PAGE_SHIFT) + off, &page[off * width..(off + 1) * width]))
+        })
     }
 
     /// Looks up a row by primary key.
@@ -532,7 +722,7 @@ impl Table {
             return self.pk_lookup(key).into_iter().collect();
         }
         let slot = self.secondary_slot(col);
-        self.sec[slot].get(key).cloned().unwrap_or_default()
+        self.sec[slot].get(key).map(<[RowId]>::to_vec).unwrap_or_default()
     }
 
     /// Row ids with column `col` in the given bounds, in key order, using an
@@ -545,8 +735,7 @@ impl Table {
         if self.schema.primary_key() == Some(col) {
             return self.pk_index.range(lo, hi);
         }
-        let slot = self.secondary_slot(col);
-        self.sec[slot].range((lo, hi)).flat_map(|(_, rids)| rids.iter().copied()).collect()
+        self.sec[self.secondary_slot(col)].range(lo, hi)
     }
 
     /// Iterates the distinct keys of the index on `col` with their row ids,
@@ -554,7 +743,7 @@ impl Table {
     /// entries yield ids in insertion order, exactly as
     /// [`index_lookup`](Self::index_lookup) would return them. The hash-join
     /// build side uses this to snapshot an index in one pass instead of one
-    /// B-tree probe per outer row.
+    /// index probe per outer row.
     ///
     /// # Panics
     ///
@@ -564,11 +753,12 @@ impl Table {
             match &self.pk_index {
                 // Ascending offset is ascending key order; the key `Value`
                 // is borrowed from the row's own pk cell.
-                PkIndex::Dense { slots, .. } => {
-                    Box::new(slots.iter().filter(|rid| **rid != PK_NONE).map(move |rid| {
-                        (&self.cells[*rid * self.width + col], std::slice::from_ref(rid))
-                    }))
-                }
+                PkIndex::Dense { slots, .. } => Box::new(
+                    slots
+                        .iter()
+                        .filter(|rid| **rid != PK_NONE)
+                        .map(move |rid| (&self.cells(*rid)[col], std::slice::from_ref(rid))),
+                ),
                 PkIndex::Sparse(m) => {
                     Box::new(m.iter().map(|(k, rid)| (k, std::slice::from_ref(rid))))
                 }
@@ -595,7 +785,7 @@ impl Table {
 
     /// Number of row slots, live or tombstoned (undo-log bookkeeping).
     pub(crate) fn slot_count(&self) -> usize {
-        self.live_mask.len()
+        self.slots
     }
 
     /// Position of `rid` within each secondary-index entry, parallel to
@@ -606,9 +796,9 @@ impl Table {
         self.schema
             .indexes()
             .iter()
-            .enumerate()
-            .map(|(slot, col)| {
-                self.sec[slot]
+            .zip(&self.sec)
+            .map(|(col, index)| {
+                index
                     .get(&row[*col])
                     .and_then(|rids| rids.iter().position(|r| *r == rid))
                     .expect("indexed live row")
@@ -616,7 +806,7 @@ impl Table {
             .collect()
     }
 
-    /// Reverses an insert: removes the row and restores the slot arena,
+    /// Reverses an insert: removes the row and restores the slot layout,
     /// free list, and (if no later insert advanced it) the auto-increment
     /// counter to their pre-insert state.
     pub(crate) fn undo_insert(
@@ -626,13 +816,12 @@ impl Table {
         prev_next_auto: i64,
         post_next_auto: i64,
     ) {
-        if self.live_mask.get(rid).copied().unwrap_or(false) {
+        if self.is_live(rid) {
             self.index_remove(rid);
-            self.live_mask[rid] = false;
+            self.slot_mut(rid, false);
             self.live -= 1;
-            if new_slot && rid + 1 == self.live_mask.len() {
-                self.live_mask.pop();
-                self.cells.truncate(rid * self.width);
+            if new_slot && rid + 1 == self.slots {
+                self.pop_slot();
             } else {
                 // The slot came off the top of the free stack; put it back.
                 self.free.push(rid);
@@ -679,19 +868,15 @@ impl Table {
                 .collect(),
             None => old_row,
         };
-        if self.live_mask[rid] {
+        if self.is_live(rid) {
             self.index_remove(rid);
         } else {
             if let Some(pos) = self.free.iter().rposition(|r| *r == rid) {
                 self.free.remove(pos);
             }
             self.live += 1;
-            self.live_mask[rid] = true;
         }
-        for (cell, v) in self.cells[rid * self.width..].iter_mut().zip(restored) {
-            *cell = v;
-        }
-        self.index_insert_at(rid, sec_pos);
+        self.write_live(rid, restored, sec_pos);
     }
 
     /// Reverses a delete: un-tombstones the slot, removes it from the free
@@ -703,40 +888,71 @@ impl Table {
         if let Some(pos) = self.free.iter().rposition(|r| *r == rid) {
             self.free.remove(pos);
         }
-        if self.live_mask[rid] {
+        if self.is_live(rid) {
             self.index_remove(rid);
         } else {
             self.live += 1;
-            self.live_mask[rid] = true;
         }
-        for (cell, v) in self.cells[rid * self.width..].iter_mut().zip(old_row) {
+        self.write_live(rid, old_row, sec_pos);
+    }
+
+    /// Stores `row` in slot `rid` as a live row and indexes it (`sec_pos`
+    /// as for [`index_insert`](Self::index_insert)).
+    fn write_live(&mut self, rid: RowId, row: Vec<Value>, sec_pos: &[usize]) {
+        for (cell, v) in self.slot_mut(rid, true).iter_mut().zip(row) {
             *cell = v;
         }
-        self.index_insert_at(rid, sec_pos);
+        self.index_insert(rid, sec_pos);
     }
 
     /// Ensures slot `rid` exists (as a dead slot) so an undo can restore a
     /// row whose slot was popped by an interleaved insert-undo.
     fn grow_to(&mut self, rid: RowId) {
-        if rid >= self.live_mask.len() {
-            self.live_mask.resize(rid + 1, false);
-            self.cells.resize((rid + 1) * self.width, Value::Null);
+        while self.slots <= rid {
+            self.push_slot();
         }
     }
 
-    /// Like `index_insert`, but places the row id at a recorded position
-    /// within each secondary-index entry instead of appending, so undo
-    /// restores the exact pre-mutation index layout.
-    fn index_insert_at(&mut self, rid: RowId, sec_pos: &[usize]) {
-        let Table { schema, cells, width, pk_index, sec, .. } = self;
-        let row = &cells[rid * *width..(rid + 1) * *width];
-        if let Some(pk) = schema.primary_key() {
-            pk_index.insert(row[pk].clone(), rid);
+    /// `true` while slot `rid` exists and holds a live row.
+    fn is_live(&self, rid: RowId) -> bool {
+        let (p, off) = page_of(rid);
+        self.live_mask.get(p).is_some_and(|mask| mask >> off & 1 == 1)
+    }
+
+    /// The cells of slot `rid`, live or dead.
+    fn cells(&self, rid: RowId) -> &[Value] {
+        let (p, off) = page_of(rid);
+        &self.pages[p][off * self.width..(off + 1) * self.width]
+    }
+
+    /// Marks slot `rid` live or dead and returns its cells, un-sharing
+    /// its page.
+    fn slot_mut(&mut self, rid: RowId, live: bool) -> &mut [Value] {
+        let (p, off) = page_of(rid);
+        let mask = &mut self.live_mask[p];
+        *mask = *mask & !(1 << off) | u64::from(live) << off;
+        &mut Arc::make_mut(&mut self.pages[p])[off * self.width..(off + 1) * self.width]
+    }
+
+    /// Appends a dead slot after the last one; returns its id.
+    fn push_slot(&mut self) -> RowId {
+        let rid = self.slots;
+        if rid & (PAGE_ROWS - 1) == 0 {
+            self.pages.push(std::iter::repeat_n(Value::Null, PAGE_ROWS * self.width).collect());
+            self.live_mask.push(0);
         }
-        for (slot, col) in schema.indexes().iter().enumerate() {
-            let rids = sec[slot].entry(row[*col].clone()).or_default();
-            let pos = sec_pos.get(slot).copied().unwrap_or(rids.len()).min(rids.len());
-            rids.insert(pos, rid);
+        self.slots += 1;
+        rid
+    }
+
+    /// Removes the last slot, which is dead (and its page, once empty).
+    fn pop_slot(&mut self) {
+        self.slots -= 1;
+        if self.slots & (PAGE_ROWS - 1) == 0 {
+            self.pages.pop();
+            self.live_mask.pop();
+        } else {
+            self.slot_mut(self.slots, false).fill(Value::Null);
         }
     }
 
@@ -748,30 +964,31 @@ impl Table {
             .unwrap_or_else(|| panic!("column {col} is not indexed"))
     }
 
-    fn index_insert(&mut self, rid: RowId) {
-        let Table { schema, cells, width, pk_index, sec, .. } = self;
-        let row = &cells[rid * *width..(rid + 1) * *width];
+    /// Indexes the row at `rid`. Each row id goes into its secondary-index
+    /// entry at the position recorded in `sec_pos` (parallel to
+    /// `schema.indexes()`), or at the end where none is recorded, so undo
+    /// restores the exact pre-mutation index layout.
+    fn index_insert(&mut self, rid: RowId, sec_pos: &[usize]) {
+        let (p, off) = page_of(rid);
+        let Table { schema, pages, width, pk_index, sec, .. } = self;
+        let row = &pages[p][off * *width..(off + 1) * *width];
         if let Some(pk) = schema.primary_key() {
             pk_index.insert(row[pk].clone(), rid);
         }
-        for (slot, col) in schema.indexes().iter().enumerate() {
-            sec[slot].entry(row[*col].clone()).or_default().push(rid);
+        for (slot, (col, index)) in schema.indexes().iter().zip(sec).enumerate() {
+            index.insert(&row[*col], rid, sec_pos.get(slot).copied());
         }
     }
 
     fn index_remove(&mut self, rid: RowId) {
-        let Table { schema, cells, width, pk_index, sec, .. } = self;
-        let row = &cells[rid * *width..(rid + 1) * *width];
+        let (p, off) = page_of(rid);
+        let Table { schema, pages, width, pk_index, sec, .. } = self;
+        let row = &pages[p][off * *width..(off + 1) * *width];
         if let Some(pk) = schema.primary_key() {
             pk_index.remove(&row[pk]);
         }
-        for (slot, col) in schema.indexes().iter().enumerate() {
-            if let Some(rids) = sec[slot].get_mut(&row[*col]) {
-                rids.retain(|r| *r != rid);
-                if rids.is_empty() {
-                    sec[slot].remove(&row[*col]);
-                }
-            }
+        for (col, index) in schema.indexes().iter().zip(sec) {
+            index.remove(&row[*col], rid);
         }
     }
 }
@@ -950,5 +1167,41 @@ mod tests {
         b.insert(row("ann", 1)).unwrap();
         b.delete(dead_b).unwrap();
         assert_eq!(a, b);
+    }
+
+    /// Leaves of `fork`'s index `slot` that `base` does not share.
+    fn unshared_leaves(fork: &Table, base: &Table, slot: usize) -> usize {
+        let shared =
+            |leaf: &Arc<Leaf>| base.sec[slot].leaves.iter().any(|(_, b)| Arc::ptr_eq(leaf, b));
+        fork.sec[slot].leaves.iter().filter(|(_, leaf)| !shared(leaf)).count()
+    }
+
+    #[test]
+    fn fork_write_unshares_one_page_and_one_leaf_per_index() {
+        let mut base = users();
+        for i in 0..4 * PAGE_ROWS as i64 {
+            base.insert(row(&format!("n{i:04}"), i % 7)).unwrap();
+        }
+        assert!(base.pages.len() >= 3 && base.sec[0].leaves.len() >= 3);
+        let before = base.deep_clone();
+
+        let mut fork = base.clone();
+        assert!(fork.pages.iter().zip(&base.pages).all(|(a, b)| Arc::ptr_eq(a, b)));
+        let rid = PAGE_ROWS + 5;
+        let mut new_row = fork.get(rid).unwrap().to_vec();
+        // Both keys change, each to one in the same leaf as the old key.
+        new_row[1] = Value::str(format!("{}b", new_row[1]));
+        new_row[2] = Value::Int(6 - new_row[2].as_int().unwrap());
+        fork.update(rid, new_row.clone()).unwrap();
+
+        let unshared: Vec<usize> = (0..fork.pages.len())
+            .filter(|p| !Arc::ptr_eq(&fork.pages[*p], &base.pages[*p]))
+            .collect();
+        assert_eq!(unshared, vec![page_of(rid).0]);
+        assert_eq!(unshared_leaves(&fork, &base, 0), 1);
+        assert_eq!(unshared_leaves(&fork, &base, 1), 1);
+        assert_eq!(fork.get(rid).unwrap(), new_row.as_slice());
+        assert_eq!(base, before);
+        assert_ne!(fork, base);
     }
 }

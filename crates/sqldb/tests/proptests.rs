@@ -9,6 +9,7 @@ use dynamid_sqldb::{
     CacheInvalidation, ColumnType, Database, ResultCacheConfig, TableSchema, Value,
 };
 use proptest::prelude::*;
+use std::ops::Bound;
 
 /// Builds two tables with identical content; `fast` has a secondary index
 /// on `k`, `slow` does not.
@@ -633,6 +634,116 @@ proptest! {
             let c = cached.execute(sql, params).unwrap();
             let p = plain.execute(sql, params).unwrap();
             prop_assert_eq!(c, p, "post-schedule read diverged on {}", sql);
+        }
+    }
+}
+
+/// A table large enough to span several row pages and several leaves of
+/// each secondary index: `k` (integers, with duplicates) and `s` (unique
+/// strings) are indexed, `v` is not.
+fn paged_db(keys: &[i64]) -> Database {
+    let mut db = Database::new();
+    db.create_table(
+        TableSchema::builder("t")
+            .column("id", ColumnType::Int)
+            .column("k", ColumnType::Int)
+            .column("s", ColumnType::Str)
+            .column("v", ColumnType::Int)
+            .primary_key("id")
+            .auto_increment()
+            .index("k")
+            .index("s")
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    let t = db.table_mut("t").unwrap();
+    for (i, k) in keys.iter().enumerate() {
+        t.insert(vec![Value::Null, Value::Int(*k), Value::str(format!("s{i:04}")), Value::Int(0)])
+            .unwrap();
+    }
+    db
+}
+
+/// Runs one step of a fork-isolation script: a write (errors are fine —
+/// both sides fail identically) or a transaction boundary.
+fn fork_step(db: &mut Database, in_txn: bool, op: usize, a: i64, b: i64) {
+    let _ = match op {
+        0 => db.execute(
+            "INSERT INTO t (id, k, s, v) VALUES (NULL, ?, ?, ?)",
+            &[Value::Int(a), Value::str(format!("n{b}")), Value::Int(b)],
+        ),
+        1 => db.execute("UPDATE t SET k = k + ? WHERE k = ?", &[Value::Int(b), Value::Int(a)]),
+        2 => db.execute("UPDATE t SET v = v + 1 WHERE id = ?", &[Value::Int(a)]),
+        3 => db.execute(
+            "UPDATE t SET s = ? WHERE id = ?",
+            &[Value::str(format!("u{b}")), Value::Int(a)],
+        ),
+        4 => db.execute("DELETE FROM t WHERE k = ?", &[Value::Int(a)]),
+        _ if !in_txn => db.execute("BEGIN", &[]),
+        // Odd values roll back, even ones commit.
+        _ => db.execute(if b % 2 == 0 { "COMMIT" } else { "ROLLBACK" }, &[]),
+    };
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A copy-on-write fork is isolated from its base in both directions:
+    /// random inserts, updates and deletes, in committed and rolled-back
+    /// transactions, leave the base equal to a deep snapshot taken before
+    /// the fork, and leave the fork equal — in data and on every index
+    /// access path — to a deep-cloned twin that ran the same script.
+    #[test]
+    fn fork_is_isolated_from_base(
+        keys in prop::collection::vec(0i64..400, 300..420),
+        script in prop::collection::vec((0usize..7, 0i64..420, -20i64..20), 1..60),
+    ) {
+        let base = paged_db(&keys);
+        let snapshot = base.deep_clone();
+        let mut fork = base.clone();
+        let mut twin = base.deep_clone();
+        let mut in_txn = false;
+        for (op, a, b) in &script {
+            fork_step(&mut fork, in_txn, *op, *a, *b);
+            fork_step(&mut twin, in_txn, *op, *a, *b);
+            prop_assert_eq!(fork.in_txn(), twin.in_txn());
+            in_txn = fork.in_txn();
+        }
+        if in_txn {
+            fork.execute("ROLLBACK", &[]).unwrap();
+            twin.execute("ROLLBACK", &[]).unwrap();
+        }
+        prop_assert!(base.same_data(&snapshot), "a fork's writes leaked into its base");
+        prop_assert!(fork.same_data(&twin), "fork diverged from its deep-cloned twin");
+
+        let (f, t) = (fork.table("t").unwrap(), twin.table("t").unwrap());
+        prop_assert!(f.scan().eq(t.scan()));
+        for col in [0, 1, 2] {
+            prop_assert!(f.index_groups(col).eq(t.index_groups(col)));
+        }
+        for (_, a, b) in &script {
+            let (k, s) = (Value::Int(*a), Value::str(format!("s{a:04}")));
+            prop_assert_eq!(f.index_lookup(1, &k), t.index_lookup(1, &k));
+            prop_assert_eq!(f.index_lookup(2, &s), t.index_lookup(2, &s));
+            let hi = Value::Int(a + b.abs());
+            for (lo, hi) in [
+                (Bound::Included(&k), Bound::Excluded(&hi)),
+                (Bound::Excluded(&k), Bound::Included(&hi)),
+                (Bound::Unbounded, Bound::Included(&k)),
+            ] {
+                prop_assert_eq!(f.index_range(1, lo, hi), t.index_range(1, lo, hi));
+                prop_assert_eq!(f.index_range(0, lo, hi), t.index_range(0, lo, hi));
+            }
+            let (slo, shi) = (Value::str(format!("s{a}")), Value::str(format!("u{b}")));
+            prop_assert_eq!(
+                f.index_range(2, Bound::Included(&slo), Bound::Unbounded),
+                t.index_range(2, Bound::Included(&slo), Bound::Unbounded)
+            );
+            prop_assert_eq!(
+                f.index_range(2, Bound::Unbounded, Bound::Excluded(&shi)),
+                t.index_range(2, Bound::Unbounded, Bound::Excluded(&shi))
+            );
         }
     }
 }

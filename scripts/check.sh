@@ -22,6 +22,19 @@ echo "== benchmark package builds against the current API"
 # not compile it; an API change that breaks the benchmark fails here.
 cargo build --release --offline --quiet --manifest-path hostbench/Cargo.toml
 
+echo "== benchmark self-checks: the minimum rounds of every hostbench workload"
+# With --seconds 0 each workload runs its two minimum rounds (~30 s in
+# all). hostbench exits nonzero on a panicking point, an audit violation,
+# broken job accounting, modeled-digest drift between rounds or a failed
+# decorator self-test. The bookstore runs at scale 0.3, so this also
+# covers tables of many row pages and index leaves that the scale-0.1
+# goldens below may not reach.
+for workload in bookstore-ordering auction-browsing flash-crowd-cached; do
+  cargo run --release --offline --quiet --manifest-path hostbench/Cargo.toml -- \
+    --workload "$workload" --seconds 0 >/dev/null \
+    || { echo "FAIL: hostbench --workload $workload reported a failed check" >&2; exit 1; }
+done
+
 echo "== perf + chaos smoke (writes BENCH_repro.json)"
 cargo run --release -q -p dynamid-harness --bin repro -- --smoke --chaos
 
