@@ -340,16 +340,18 @@ fn bench_sim_kernel(c: &mut Criterion) {
             || PsResource::new("cpu", 1.0),
             |mut r| {
                 let mut now = SimTime::ZERO;
+                let mut done = Vec::new();
                 for i in 0..1_000u64 {
                     r.enqueue(now, dynamid_sim::JobId(i), 100.0);
                     if i % 4 == 3 {
                         now = r.next_completion(now).unwrap();
-                        black_box(r.pop_completed(now));
+                        done.clear();
+                        black_box(r.pop_completed(now, &mut done));
                     }
                 }
                 while let Some(t) = r.next_completion(now) {
                     now = t;
-                    if r.pop_completed(now).is_empty() {
+                    if r.pop_completed(now, &mut done) == 0 {
                         break;
                     }
                 }

@@ -13,13 +13,13 @@
 
 use crate::calendar::{CalendarQueue, EventId};
 use crate::fault::FaultPlan;
+use crate::hash::{FastHashMap, FastHashSet};
 use crate::lock::{GrantPolicy, LockId, LockManager, LockStats, SemGrant, SemaphoreId};
 use crate::op::{Op, Trace};
 use crate::ps::{PsResource, PsStats};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Activity, IntervalColumns, TraceRecorder};
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Identifies a simulated machine.
@@ -269,8 +269,16 @@ pub struct Simulation {
     queue: CalendarQueue<EventKind>,
     machines: Vec<Machine>,
     locks: LockManager,
-    jobs: HashMap<JobId, Job>,
+    jobs: FastHashMap<JobId, Job>,
     next_job: u64,
+    /// Reused per-event buffers: completions popped from a PS resource, and
+    /// the jobs a dispatch still has to step. Each is taken for the length
+    /// of one dispatch and put back empty, so the event path allocates
+    /// nothing once they have grown to the run's high-water mark. Driver
+    /// callbacks only schedule, so `drain` is not re-entered; if it were,
+    /// the inner dispatch would just start from a fresh `Vec`.
+    done_buf: Vec<JobId>,
+    work_buf: Vec<JobId>,
     link_latency: SimDuration,
     stats: EngineStats,
     faults: Option<FaultState>,
@@ -292,8 +300,10 @@ impl Simulation {
             queue: CalendarQueue::new(),
             machines: Vec::new(),
             locks: LockManager::new(policy),
-            jobs: HashMap::new(),
+            jobs: FastHashMap::default(),
             next_job: 0,
+            done_buf: Vec::new(),
+            work_buf: Vec::new(),
             link_latency,
             stats: EngineStats::default(),
             faults: None,
@@ -644,22 +654,27 @@ impl Simulation {
                     return Ok(()); // stale prediction
                 }
                 let now = self.now;
-                let resource = self.resource_mut(res);
-                resource.advance(now);
-                let done = resource.pop_completed(now);
-                let mut work: Vec<JobId> = Vec::with_capacity(done.len());
-                for job in done {
+                let mut done = std::mem::take(&mut self.done_buf);
+                self.resource_mut(res).pop_completed(now, &mut done);
+                let mut work = std::mem::take(&mut self.work_buf);
+                for &job in &done {
                     self.on_service_done(res, job, &mut work, driver);
                 }
+                done.clear();
+                self.done_buf = done;
                 self.refresh_ps(res);
                 self.drain(work, driver)
             }
             EventKind::DelayDone { job } => {
-                let mut work = Vec::new();
+                let mut work = std::mem::take(&mut self.work_buf);
                 self.on_delay_done(job, &mut work, driver);
                 self.drain(work, driver)
             }
-            EventKind::JobStart { job } => self.drain(vec![job], driver),
+            EventKind::JobStart { job } => {
+                let mut work = std::mem::take(&mut self.work_buf);
+                work.push(job);
+                self.drain(work, driver)
+            }
             EventKind::Timer { token } => {
                 driver.on_timer(self, token);
                 Ok(())
@@ -770,11 +785,10 @@ impl Simulation {
         let job = self.jobs.get_mut(&job_id).expect("service for unknown job");
         match res {
             ResKey::Cpu(_) => {
+                job.pc += 1;
                 if let Some(t) = &mut self.trace {
                     t.end(job_id, self.now);
                 }
-                let job = self.jobs.get_mut(&job_id).expect("service for unknown job");
-                job.pc += 1;
                 work.push(job_id);
             }
             ResKey::Nic(_) => match job.net_phase {
@@ -851,12 +865,13 @@ impl Simulation {
     }
 
     /// Steps every job in `work` (and any jobs they unblock) until each is
-    /// parked in a resource, waiting on a lock, delayed, or complete.
-    fn drain<D: Driver>(&mut self, work: Vec<JobId>, driver: &mut D) -> Result<(), SimError> {
-        let mut queue: Vec<JobId> = work;
-        while let Some(job_id) = queue.pop() {
-            self.step_job(job_id, &mut queue, driver)?;
+    /// parked in a resource, waiting on a lock, delayed, or complete, then
+    /// hands the emptied buffer back for the next dispatch.
+    fn drain<D: Driver>(&mut self, mut work: Vec<JobId>, driver: &mut D) -> Result<(), SimError> {
+        while let Some(job_id) = work.pop() {
+            self.step_job(job_id, &mut work, driver)?;
         }
+        self.work_buf = work;
         Ok(())
     }
 
@@ -987,7 +1002,7 @@ impl Simulation {
                     if let Some(t) = &mut self.trace {
                         t.begin(job_id, pc, Activity::LockWait { lock }, self.now);
                     }
-                    if let Some(victim) = self.find_deadlock_victim(job_id) {
+                    if let Some(victim) = self.find_deadlock_victim(job_id, lock) {
                         self.stats.deadlocks += 1;
                         self.abort_in_step(victim, AbortReason::Deadlock, driver);
                     }
@@ -1144,50 +1159,48 @@ impl Simulation {
         })
     }
 
-    /// Looks for a lock wait-for cycle through the freshly parked `start`
-    /// and returns the victim to abort: the youngest (highest [`JobId`]) job
-    /// on the cycle. Edges run from a parked waiter to every current holder
-    /// of the lock it wants; since each job waits on at most one lock, any
-    /// cycle created by this park must pass through `start`, so a reachability
-    /// search from `start` back to itself is complete. Holders that are
-    /// running (not parked on a lock) are dead ends. Returns `None` — at no
-    /// cost beyond one queue scan — when there is no cycle, which is every
-    /// park in the healthy figure runs (the paper apps order their locks
-    /// globally).
-    fn find_deadlock_victim(&self, start: JobId) -> Option<JobId> {
-        let mut path = vec![start];
-        let mut visited: HashSet<JobId> = HashSet::new();
-        visited.insert(start);
-        if self.deadlock_dfs(start, start, &mut path, &mut visited) {
-            path.into_iter().max()
-        } else {
-            None
-        }
+    /// Looks for a lock wait-for cycle through `start`, freshly parked on
+    /// `lock`, and returns the victim to abort: the youngest (highest
+    /// [`JobId`]) job on the cycle. Edges run from a parked waiter to every
+    /// current holder of the lock it wants; since each job waits on at most
+    /// one lock, any cycle created by this park must pass through `start`,
+    /// so a depth-first search from `start` back to itself is complete.
+    /// Holders that are running (not parked on a lock) are dead ends.
+    ///
+    /// Cost: one scan of every lock's wait queue per holder visited (to
+    /// find what it waits on). The search allocates only when a holder is
+    /// itself parked, for the visited set. When every holder of `lock` is
+    /// running — every park in the healthy figure runs, whose apps order
+    /// their locks globally — it allocates nothing.
+    fn find_deadlock_victim(&self, start: JobId, lock: LockId) -> Option<JobId> {
+        self.deadlock_dfs(lock, start, &mut FastHashSet::default())
     }
 
+    /// Searches the holders of `lock` for a wait-for path back to `start`.
+    /// On success returns the highest [`JobId`] on the cycle, `start`
+    /// included.
     fn deadlock_dfs(
         &self,
-        node: JobId,
+        lock: LockId,
         start: JobId,
-        path: &mut Vec<JobId>,
-        visited: &mut HashSet<JobId>,
-    ) -> bool {
-        let Some(lock) = self.locks.waiting_on(node) else {
-            return false;
-        };
+        visited: &mut FastHashSet<JobId>,
+    ) -> Option<JobId> {
         for h in self.locks.holders(lock) {
             if h == start {
-                return true;
+                return Some(start);
             }
-            if visited.insert(h) {
-                path.push(h);
-                if self.deadlock_dfs(h, start, path, visited) {
-                    return true;
-                }
-                path.pop();
+            if visited.contains(&h) {
+                continue;
+            }
+            let Some(next) = self.locks.waiting_on(h) else {
+                continue;
+            };
+            visited.insert(h);
+            if let Some(youngest) = self.deadlock_dfs(next, start, visited) {
+                return Some(youngest.max(h));
             }
         }
-        false
+        None
     }
 
     /// A job granted a lock/semaphore by an aborting holder: advance it past

@@ -42,6 +42,7 @@
 pub mod calendar;
 pub mod engine;
 pub mod fault;
+mod hash;
 pub mod lock;
 pub mod metrics;
 pub mod op;

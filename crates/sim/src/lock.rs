@@ -9,8 +9,9 @@
 //! this is what produces the paper's lock-contention plateaus and dips.
 
 use crate::engine::JobId;
+use crate::hash::FastHashMap;
 use crate::time::SimTime;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Identifies a lock registered with a [`LockManager`].
@@ -92,7 +93,7 @@ struct LockState {
     readers: Vec<JobId>,
     writer: Option<JobId>,
     queue: VecDeque<(JobId, LockMode, SimTime)>,
-    granted_at: HashMap<JobId, SimTime>,
+    granted_at: FastHashMap<JobId, SimTime>,
     stats: LockStats,
 }
 
@@ -177,7 +178,7 @@ impl LockManager {
             readers: Vec::new(),
             writer: None,
             queue: VecDeque::new(),
-            granted_at: HashMap::new(),
+            granted_at: FastHashMap::default(),
             stats: LockStats::default(),
         });
         id
@@ -475,9 +476,9 @@ impl LockManager {
     /// Every current holder of `lock`: the writer, or the readers in
     /// acquisition order. Deterministic — deadlock detection walks these
     /// edges and its victim choice must not depend on hash order.
-    pub fn holders(&self, lock: LockId) -> Vec<JobId> {
+    pub fn holders(&self, lock: LockId) -> impl Iterator<Item = JobId> + '_ {
         let st = &self.locks[lock.0 as usize];
-        st.writer.into_iter().chain(st.readers.iter().copied()).collect()
+        st.writer.into_iter().chain(st.readers.iter().copied())
     }
 
     /// The lock `job` is currently queued on, if any. A job waits on at

@@ -26,9 +26,9 @@
 //! mid-run. [`OpInterval`] survives as the assembled row view.
 
 use crate::engine::{JobId, MachineId};
+use crate::hash::FastHashMap;
 use crate::lock::{LockId, SemaphoreId};
 use crate::time::SimTime;
-use std::collections::HashMap;
 
 /// What a job was doing during one recorded interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,7 +157,7 @@ impl IntervalColumns {
 /// sequentially.
 #[derive(Debug, Default)]
 pub struct TraceRecorder {
-    open: HashMap<JobId, (usize, Activity, SimTime)>,
+    open: FastHashMap<JobId, (usize, Activity, SimTime)>,
     finished: IntervalColumns,
 }
 

@@ -28,11 +28,19 @@ echo "== benchmark self-checks: the minimum rounds of every hostbench workload"
 # broken job accounting, modeled-digest drift between rounds or a failed
 # decorator self-test. The bookstore runs at scale 0.3, so this also
 # covers tables of many row pages and index leaves that the scale-0.1
-# goldens below may not reach.
+# goldens below may not reach. The printed model.digest must also equal
+# the workload's line in results/golden/hostbench_digests.txt, which pins
+# modeled results across commits, not only across the rounds of one run.
+digests=results/golden/hostbench_digests.txt
 for workload in bookstore-ordering auction-browsing flash-crowd-cached; do
-  cargo run --release --offline --quiet --manifest-path hostbench/Cargo.toml -- \
-    --workload "$workload" --seconds 0 >/dev/null \
+  out="$(cargo run --release --offline --quiet --manifest-path hostbench/Cargo.toml -- \
+    --workload "$workload" --seed 42 --seconds 0)" \
     || { echo "FAIL: hostbench --workload $workload reported a failed check" >&2; exit 1; }
+  # hostbench prints the digest unpadded; the golden holds 16 hex digits.
+  got="$(awk '$1 == "model.digest" { printf "%16s", $2 }' <<<"$out" | tr ' ' 0)"
+  want="$(awk -v w="$workload" '$1 == w { print $2 }' "$digests")"
+  [ -n "$want" ] && [ "$got" = "$want" ] \
+    || { echo "FAIL: hostbench --workload $workload model.digest '$got' != '$want' in $digests" >&2; exit 1; }
 done
 
 echo "== perf + chaos smoke (writes BENCH_repro.json)"
